@@ -72,7 +72,6 @@ from .ib_solver import (
     solve_G_bruteforce,
     solve_g,
     trace_frontier,
-    write_frontier_csv,
 )
 from .info_measures import (
     MineConfig,

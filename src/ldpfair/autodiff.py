@@ -290,16 +290,6 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     return out
 
 
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    out = Tensor(np.clip(a.data, lo, hi), parents=(a,))
-
-    def bw(g):
-        _accum(a, g * ((a.data >= lo) & (a.data <= hi)))
-
-    out._backward_fn = bw if out.requires_grad else None
-    return out
-
-
 def stopgradient(a: Tensor) -> Tensor:
     """Pass values through, block all gradient flow."""
     return Tensor(a.data)

@@ -20,7 +20,6 @@ forms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -353,14 +352,6 @@ def train(model: EncoderModel, ds: TabularDataset, cfg: TrainConfig) -> list[Los
             batches += 1
         history.append(LossBreakdown(*(sums / batches)))
     return history
-
-
-def write_history_csv(history: list[LossBreakdown], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "total", "reconstruction", "utility", "codebook", "commitment"])
-        for i, bd in enumerate(history):
-            w.writerow([i, bd.total, bd.reconstruction, bd.utility, bd.codebook, bd.commitment])
 
 
 # -- checkpoints -------------------------------------------------------------

@@ -73,8 +73,9 @@ def plugin_mi(samples_a, samples_b, card_a=None, card_b=None, smoothing: float =
     """Plug-in MI of the empirical joint over paired discrete labels.
 
     Optional additive smoothing adds pseudo-counts to every cell before
-    normalizing; the default 0 is unbiased at the desk-scale sample
-    counts used here.
+    normalizing.  With the default 0 the estimate is biased upward by
+    about (K - 1)(L - 1) / (2n) nats for K x L cells and n samples, so it
+    can exceed the true MI, and any data-processing ceiling, at small n.
     """
     a = np.asarray(samples_a, dtype=np.intp).reshape(-1)
     b = np.asarray(samples_b, dtype=np.intp).reshape(-1)

@@ -105,6 +105,17 @@ class TestCommands:
         for check in payload["checks"].values():
             assert check["pass"] is True
 
+    def test_verify_budget_equals_floor_passes(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            "card_x=3\nsource_seed=12\ngamma=0.1\nrestarts=2\niterations=400\n"
+            "check_budget_equals_floor=true\n",
+        )
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        check = json.loads((tmp_path / "verify.json").read_text())["checks"]["budget_equals_floor"]
+        assert check["pass"] is True
+        assert check["capacity_nats"] < 0.1 and check["floor_epsilon"] is not None
+
     def test_fetch_data_synthetic_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, SYNTH_CFG)
         assert main(["fetch-data", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -9,38 +11,41 @@ from ldpfair import (
     check_theorem1,
     mutual_information,
     random_source,
+    rr_channel,
     solve_G_bruteforce,
     solve_g,
     trace_frontier,
-    write_frontier_csv,
 )
-from ldpfair.ib_solver import objective_and_grad
+from ldpfair.ib_solver import _objective_graph, objective_and_grad
 
 FAST = SolverConfig(restarts=2, iterations=800)
 
 
 def _replace(cfg, **kw):
-    from dataclasses import replace
-
     return replace(cfg, **kw)
 
 
 class TestGradient:
-    def test_matches_finite_differences(self):
-        src = random_source(2, 2, 3, seed=0)
-        mech = RandomizedResponse(epsilon=1.0, k=3, d=1)
+    @pytest.mark.parametrize("card_x", [3, 4])
+    @pytest.mark.parametrize("eps", [0.5, 3.0])
+    def test_matches_finite_differences(self, card_x, eps):
+        # one batch whose rows carry different betas, against single-row values
+        src = random_source(2, 2, card_x, seed=0)
+        mech = RandomizedResponse(epsilon=eps, k=card_x, d=1)
         rng = np.random.default_rng(1)
-        logits = rng.normal(size=(3, 3))
-        val, grad = objective_and_grad(src, mech, logits, beta=2.0)
+        betas = np.array([0.1, 2.0, 50.0])
+        logits = rng.normal(size=(len(betas), card_x, card_x))
+        _, grads = _objective_graph(logits, src, rr_channel(mech).rows, betas)
         num = np.zeros_like(logits)
-        for i in range(3):
-            for j in range(3):
-                for sign, slot in ((1, 0), (-1, 1)):
-                    pert = logits.copy()
-                    pert[i, j] += sign * 1e-6
-                    v, _ = objective_and_grad(src, mech, pert, beta=2.0)
-                    num[i, j] += sign * v / 2e-6
-        np.testing.assert_allclose(grad, num, rtol=1e-4, atol=1e-10)
+        for b, beta in enumerate(betas):
+            for i in range(card_x):
+                for j in range(card_x):
+                    for sign in (1, -1):
+                        pert = logits[b].copy()
+                        pert[i, j] += sign * 1e-6
+                        v, _ = objective_and_grad(src, mech, pert, beta=beta)
+                        num[b, i, j] += sign * v / 2e-6
+        np.testing.assert_allclose(grads, num, rtol=1e-4, atol=1e-10)
 
 
 class TestSolveG:
@@ -79,17 +84,42 @@ class TestSolveG:
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.encoder.rows, b.encoder.rows)
 
+    def test_objective_describes_returned_encoder(self):
+        src = random_source(2, 2, 3, seed=7)
+        mech = RandomizedResponse(epsilon=1.0, k=3, d=1)
+        pt = solve_g(src, mech, _replace(FAST, beta=5.0, iterations=50))
+        assert abs(pt.objective - (pt.nu + 5.0 * pt.Gamma)) <= 1e-12
+        for p in trace_frontier(src, mech, [0.1, 1.0, 10.0], _replace(FAST, iterations=50)):
+            assert abs(p.objective - (p.nu + p.beta * p.Gamma)) <= 1e-12
+
 
 class TestFrontier:
-    def test_one_point_per_beta_and_csv(self, tmp_path):
+    def test_one_point_per_beta(self):
         src = random_source(2, 2, 3, seed=1)
         mech = RandomizedResponse(epsilon=1.0, k=3, d=1)
-        pts = trace_frontier(src, mech, [0.1, 1.0, 10.0], FAST)
+        pts = trace_frontier(src, mech, [10.0, 0.1, 1.0], FAST)
         assert [p.beta for p in pts] == [0.1, 1.0, 10.0]
-        path = tmp_path / "frontier.csv"
-        write_frontier_csv(pts, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "beta,epsilon,gamma,Gamma,Omega,nu,ixz,converged"
+
+    @pytest.mark.parametrize("card_x, eps, iterations, tol", [(3, 1.0, 400, 1e-6), (4, 0.5, 800, 1e-7)])
+    def test_each_point_equals_a_solo_solve(self, card_x, eps, iterations, tol):
+        # some rows stop early while others run on; a stopped row that kept
+        # stepping, or rows that leaked into each other, would move a point
+        src = random_source(2, 2, card_x, seed=3)
+        mech = RandomizedResponse(epsilon=eps, k=card_x, d=1)
+        cfg = _replace(FAST, iterations=iterations, tol=tol)
+        betas = [0.01, 0.1, 1.0, 10.0, 100.0]
+        pts = trace_frontier(src, mech, betas, cfg)
+        assert any(p.converged for p in pts) and not all(p.converged for p in pts)
+        for beta, p in zip(betas, pts):
+            solo = solve_g(src, mech, _replace(cfg, beta=beta))
+            for f in fields(p):
+                a, b = getattr(p, f.name), getattr(solo, f.name)
+                if f.name == "encoder":
+                    np.testing.assert_allclose(a.rows, b.rows, rtol=0, atol=1e-12)
+                elif isinstance(a, float):
+                    assert abs(a - b) <= 1e-12 or (np.isnan(a) and np.isnan(b)), f.name
+                else:
+                    assert a == b, f.name
 
     def test_utility_nondecreasing_in_beta(self):
         src = random_source(2, 2, 3, seed=12)

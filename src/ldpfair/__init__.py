@@ -77,6 +77,7 @@ from .info_measures import (
     MineConfig,
     conditional_mi,
     entropy,
+    laplace_mixture_mi,
     mine_estimate,
     mutual_information,
     plugin_mi,

@@ -1,8 +1,11 @@
 """Minimal dense reverse-mode automatic differentiation on float64 arrays.
 
 Define-by-run: every op builds a fresh graph node holding its parents and
-a closure that accumulates parent gradients.  Tensors wrap numpy arrays of
-up to 3 axes; parameters persist across steps while the graph is rebuilt
+a closure that accumulates parent gradients.  A closure never refers to
+its own node (it keeps the output array in a local), so a graph holds no
+reference cycle and is freed as soon as its last tensor is dropped, not
+at the next cyclic garbage collection.  Tensors wrap numpy arrays of up
+to 3 axes; parameters persist across steps while the graph is rebuilt
 each forward pass.  A graph is single-owner and single-threaded;
 independent graphs may run in parallel.
 """
@@ -175,10 +178,11 @@ def log(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data), parents=(a,))
+    y = np.exp(a.data)
+    out = Tensor(y, parents=(a,))
 
     def bw(g):
-        _accum(a, g * out.data)
+        _accum(a, g * y)
 
     out._backward_fn = bw if out.requires_grad else None
     return out
@@ -205,20 +209,22 @@ def relu6(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data), parents=(a,))
+    y = np.tanh(a.data)
+    out = Tensor(y, parents=(a,))
 
     def bw(g):
-        _accum(a, g * (1.0 - out.data * out.data))
+        _accum(a, g * (1.0 - y * y))
 
     out._backward_fn = bw if out.requires_grad else None
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = Tensor(1.0 / (1.0 + np.exp(-a.data)), parents=(a,))
+    y = 1.0 / (1.0 + np.exp(-a.data))
+    out = Tensor(y, parents=(a,))
 
     def bw(g):
-        _accum(a, g * out.data * (1.0 - out.data))
+        _accum(a, g * y * (1.0 - y))
 
     out._backward_fn = bw if out.requires_grad else None
     return out
@@ -241,10 +247,11 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = Tensor(shifted - lse, parents=(a,))
+    y = shifted - lse
+    out = Tensor(y, parents=(a,))
 
     def bw(g):
-        p = np.exp(out.data)
+        p = np.exp(y)
         _accum(a, g - p * g.sum(axis=axis, keepdims=True))
 
     out._backward_fn = bw if out.requires_grad else None

@@ -113,6 +113,18 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return default
 
 
+_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+
+
+def _get_bool(cfg: dict, key: str, default: bool) -> bool:
+    """A flag given as true, false, 1 or 0; anything else is a ConfigError."""
+    value = _get(cfg, key, default)
+    flag = _BOOLS.get(str(value).lower())
+    if flag is None:
+        raise ConfigError(f"config key {key!r} must be true, false, 1 or 0, got {value!r}")
+    return flag
+
+
 def _cache_dir(cfg: dict, out: Path) -> Path:
     return Path(os.environ.get(CACHE_ENV) or _get(cfg, "cache_dir", out / "cache"))
 
@@ -234,6 +246,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     """Run every theory check; exit 0 iff all pass."""
     checks: dict[str, dict] = {}
     rng_seeds = [seed + i for i in range(int(_get(cfg, "verify_sources", 3)))]
+    check_floor = _get_bool(cfg, "check_budget_equals_floor", False)
 
     # closure + budget bound over random encoders and RR channels
     worst_ratio, worst_mi = 0.0, 0.0
@@ -269,7 +282,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
         "pass": zero_ok, "Gamma": zero.Gamma, "Omega": zero.Omega, "ixz": zero.ixz,
     }
 
-    if bool(_get(cfg, "check_budget_equals_floor", False)):
+    if check_floor:
         try:
             checks["budget_equals_floor"] = ib_solver.check_corollary2(
                 src, gamma=float(_get(cfg, "gamma", 0.05)),

@@ -4,7 +4,8 @@ Demographic-parity and equalized-odds gaps are computed from hard
 predictions.  Downstream utility and the sensitive-recovery attack both
 use the same small MLP classifier trained on frozen randomized
 representations; leakage in nats comes from the plug-in estimator for
-discrete codes and the neural estimator for continuous vectors.
+discrete codes and, for Laplace-noised vectors, the known-noise
+Laplace-mixture estimator over the test split.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import autodiff as ad
 from .datasets import TabularDataset
 from .errors import PreconditionError
 from .fair_encoder import EncoderModel, embed_dataset
-from .info_measures import MineConfig, mine_estimate, plugin_mi
+from .info_measures import laplace_mixture_mi, plugin_mi
 
 DOWNSTREAM_EPOCHS = 40
 DOWNSTREAM_BATCH = 256
@@ -149,23 +150,20 @@ class EvalReport:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def full_report(
-    model: EncoderModel,
-    test_ds: TabularDataset,
-    seeds: list[int],
-    mine_config: MineConfig | None = None,
-) -> EvalReport:
+def full_report(model: EncoderModel, test_ds: TabularDataset, seeds: list[int]) -> EvalReport:
     """Embed the test split once per seed and aggregate all metrics.
 
     Each seed fixes a single mechanism draw per datum; utility predictions
     come from the trained utility decoder, the attacker is trained on the
     same frozen representations, and leakage toward s is estimated by
-    plug-in mutual information over discrete codes or the neural estimator
-    over continuous vectors.
+    plug-in mutual information over discrete codes, or over continuous
+    vectors by the Laplace-mixture estimator, which scores the draw against
+    the exact noise density around every pre-noise encoder output.
     """
     if not seeds:
         raise PreconditionError("full_report: need at least one seed")
     per = {k: [] for k in ("accuracy", "delta_dp", "delta_eo", "leakage", "sensitive_accuracy")}
+    clean = None if model.discrete else model.encoder_features(test_ds.features)
     for seed in seeds:
         emb = embed_dataset(model, test_ds, seed)
         preds = model.predict_utility(emb.z)
@@ -177,9 +175,8 @@ def full_report(
             joint_code = np.ravel_multi_index(tuple(emb.indices.T), (k,) * d)
             per["leakage"].append(plugin_mi(joint_code, test_ds.s, card_a=k**d, card_b=2))
         else:
-            cfg = mine_config or MineConfig(iterations=2000)
             per["leakage"].append(
-                mine_estimate(emb.z, test_ds.s.astype(np.float64), cfg, seed)
+                laplace_mixture_mi(clean, test_ds.s, emb.z, model.mechanism.scale)
             )
         per["sensitive_accuracy"].append(sensitive_accuracy(emb.z, test_ds.s, seed))
 

@@ -3,8 +3,10 @@
 All quantities are in nats; the privacy-budget bound I(X;Z) <= epsilon
 only holds with natural logarithms.  The 0 log 0 = 0 convention is used
 throughout.  Exact measures are pure functions over validated probability
-arrays; plugin_mi works on paired discrete samples; mine_estimate is the
-Donsker-Varadhan neural estimator for continuous representations.
+arrays; plugin_mi works on paired discrete samples; laplace_mixture_mi
+uses the known noise density of Laplace-noised representations; and
+mine_estimate is the Donsker-Varadhan neural estimator for continuous
+samples whose noise is unknown.
 """
 
 from __future__ import annotations
@@ -93,6 +95,83 @@ def plugin_mi(samples_a, samples_b, card_a=None, card_b=None, smoothing: float =
     np.add.at(counts, (a, b), 1.0)
     counts += smoothing
     return mutual_information(counts / counts.sum())
+
+
+# -- known-noise mixture -----------------------------------------------------
+
+# pair entries held at once by laplace_mixture_mi: 2 MB of float64 per
+# block, whatever the sample count
+_PAIR_BUDGET = 2**18
+
+
+def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
+    """Estimate I(S;Z) in nats when Z = C + i.i.d. Laplace(0, scale) noise.
+
+    `clean` holds the pre-noise vectors c_i, `noisy` the draw z_j = c_j +
+    noise_j and `s` the discrete label of each row.  The noise density is
+    known, so p(z) and p(z | s) are the exact Laplace mixtures over the
+    sample, each evaluated leave-one-out (i != j) so that z_j is scored
+    against components independent of its own noise:
+
+        I ~ mean_j [log p(z_j | s_j) - log p(z_j)].
+
+    This is the sample-propagation estimator of Goldfeld et al.,
+    "Estimating Information Flow in Deep Neural Networks" (ICML 2019).  It
+    needs no training and is deterministic; it costs O(n^2 d) time in row
+    blocks of about _PAIR_BUDGET pairs, so its memory does not grow with n.
+    Each mixture is an unbiased density estimate, but its log is biased
+    low, the conditional's more (it averages fewer components); the net
+    bias is small and downward, largest when the noise is narrow next to
+    the spread of the clean vectors (about -0.006 nats for independent s,
+    n = 2000, d = 2, clean vectors uniform on [-1/2, 1/2]^2 and scale
+    0.05).  So the estimate can be slightly negative near independence.
+    """
+    c = np.asarray(clean, dtype=np.float64)
+    z = np.asarray(noisy, dtype=np.float64)
+    c = c.reshape(-1, 1) if c.ndim == 1 else c
+    z = z.reshape(-1, 1) if z.ndim == 1 else z
+    labels = np.asarray(s).reshape(-1)
+    if c.ndim != 2 or c.shape != z.shape:
+        raise PreconditionError(f"laplace_mixture_mi: clean {c.shape} vs noisy {z.shape}")
+    if labels.size != c.shape[0]:
+        raise PreconditionError(f"laplace_mixture_mi: {labels.size} labels for {c.shape[0]} rows")
+    if not (np.isfinite(scale) and scale > 0):
+        raise PreconditionError(f"laplace_mixture_mi: scale must be finite and > 0, got {scale}")
+    classes, counts = np.unique(labels, return_counts=True)
+    if classes.size < 2 or counts.min() < 2:
+        raise PreconditionError(
+            f"laplace_mixture_mi: every class of s needs >= 2 rows and s needs >= 2 classes, "
+            f"got counts {dict(zip(classes.tolist(), counts.tolist()))}"
+        )
+
+    # rows sorted by class, so each class is one contiguous column slice
+    order = np.argsort(labels, kind="stable")
+    c, z, labels = c[order], z[order], labels[order]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    n = c.shape[0]
+    rows_per_block = max(1, _PAIR_BUDGET // n)
+    total = 0.0
+    for lo in range(0, n, rows_per_block):
+        hi = min(n, lo + rows_per_block)
+        # log-kernel up to the constant -d log(2b), which cancels in the ratio
+        logk = np.abs(z[lo:hi, 0:1] - c[:, 0])
+        for k in range(1, c.shape[1]):
+            logk += np.abs(z[lo:hi, k : k + 1] - c[:, k])
+        logk *= -1.0 / scale
+        rows = np.arange(hi - lo)
+        logk[rows, lo + rows] = -np.inf  # leave one out
+        # per-class log-sum-exp, each shifted by its own row maximum
+        per_class = np.empty((hi - lo, classes.size))
+        for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            block = logk[:, a:b]
+            shift = block.max(axis=1, keepdims=True)
+            per_class[:, m] = np.log(np.exp(block - shift).sum(axis=1)) + shift[:, 0]
+        own = np.searchsorted(classes, labels[lo:hi])
+        log_cond = per_class[rows, own] - np.log(counts[own] - 1)
+        shift = per_class.max(axis=1, keepdims=True)
+        log_marg = np.log(np.exp(per_class - shift).sum(axis=1)) + shift[:, 0] - np.log(n - 1)
+        total += float((log_cond - log_marg).sum())
+    return total / n
 
 
 # -- MINE --------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,25 @@ class TestBackward:
         out = ad.add(ad.mul(t, t), t)  # t^2 + t, derivative 2t + 1
         ad.backward(out)
         np.testing.assert_allclose(t.grad, 5.0)
+
+    @pytest.mark.parametrize("op", ["exp", "tanh", "sigmoid", "log_softmax"])
+    def test_graph_freed_without_cycle_collector(self, op):
+        # a graph must hold no reference cycle, so dropping its tensors frees
+        # it at once instead of at the next cyclic collection
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            param = ad.parameter(np.random.default_rng(0).normal(size=(4, 3)))
+            out = getattr(ad, op)(param)
+            loss = ad.mean(out)
+            ad.backward(loss)
+            ref = weakref.ref(out.data)
+            del out, loss
+            assert ref() is None
+            assert param.grad is not None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestAdam:

@@ -116,6 +116,15 @@ class TestCommands:
         assert check["pass"] is True
         assert check["capacity_nats"] < 0.1 and check["floor_epsilon"] is not None
 
+    def test_verify_boolean_flag_values(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path, "card_x=3\nrestarts=2\niterations=200\ncheck_budget_equals_floor=false\n"
+        )
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "budget_equals_floor" not in json.loads((tmp_path / "verify.json").read_text())["checks"]
+        cfg.write_text(cfg.read_text().replace("=false", "=maybe"))
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+
     def test_fetch_data_synthetic_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, SYNTH_CFG)
         assert main(["fetch-data", "--config", str(cfg), "--out", str(tmp_path)]) == 0

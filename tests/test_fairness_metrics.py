@@ -10,6 +10,7 @@ from ldpfair import (
     delta_eo,
     full_report,
     generate_synthetic,
+    mutual_information,
     random_source,
     sensitive_accuracy,
     train,
@@ -112,12 +113,27 @@ def _trained_model(mech, epochs=6):
 class TestFullReport:
     def test_continuous_report_fields(self):
         model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2))
-        from ldpfair import MineConfig
-
-        rep = full_report(model, te, seeds=[0, 1], mine_config=MineConfig(iterations=500))
+        rep = full_report(model, te, seeds=[0, 1])
         assert 0.0 <= rep.accuracy_mean <= 1.0
         assert rep.leakage_mean >= -0.05
         assert len(rep.per_seed["accuracy"]) == 2
+
+    def test_continuous_leakage_below_data_processing_ceiling(self):
+        # S -> X -> features -> Z is a Markov chain, so I(S;Z) <= I(S;X);
+        # the source is the one of random_source(2, 2, 4, seed) for seeds
+        # 0..9 with the largest I(S;X), and a large budget lets Z keep much
+        # of what the features carry about s
+        src = random_source(2, 2, 4, seed=9)
+        i_sx = mutual_information(src.p_sx())
+        spec = SyntheticSpec(
+            source=src, means=2.0 * np.eye(4), sigma=0.4, n_train=1500, n_test=1500, seed=0
+        )
+        tr, te = generate_synthetic(spec)
+        model = EncoderModel(tr.schema, LaplaceMechanism(epsilon=20.0, t=0.5, d=2), seed=0)
+        train(model, tr, TrainConfig(beta=2.0, epochs=6, batch_size=256))
+        rep = full_report(model, te, seeds=[0, 1, 2])
+        assert all(leak <= i_sx + 0.01 for leak in rep.per_seed["leakage"])
+        assert rep.leakage_mean > 0.0
 
     def test_discrete_uses_plugin_leakage(self):
         model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=4, d=2))

@@ -11,6 +11,7 @@ from ldpfair import (
     conditional_mi,
     entropy,
     induced_joint,
+    laplace_mixture_mi,
     mine_estimate,
     mutual_information,
     new_channel,
@@ -194,3 +195,107 @@ class TestMine:
         ind = rng.normal(size=n)
         cfg = MineConfig(iterations=1500)
         assert mine_estimate(a, dep, cfg, seed=0) > mine_estimate(a, ind, cfg, seed=0) + 0.3
+
+
+def _laplace_mixture_truth(points, p_sc, scale, grid):
+    """I(S;Z) for Z = C + Laplace(scale)^d, C on finite support, by quadrature.
+
+    points: (m, d) support of C; p_sc: (|S|, m) joint of (s, c).  A Riemann
+    sum over a grid reaching 25 scales past the support is accurate to
+    about 1e-4 nats here.
+    """
+    d = points.shape[1]
+    lim = np.abs(points).max() + 25.0 * scale
+    g = np.linspace(-lim, lim, grid)
+    z = g[:, None] if d == 1 else np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    dens = np.exp(-np.abs(z[:, None, :] - points[None]).sum(-1) / scale) / (2 * scale) ** d
+    p_zs = dens @ p_sc.T
+    p_z = p_zs.sum(axis=1, keepdims=True)
+    ratio = np.maximum(p_zs, 1e-300) / np.maximum(p_z * p_sc.sum(axis=1), 1e-300)
+    return float((p_zs * np.log(ratio)).sum() * (g[1] - g[0]) ** d)
+
+
+def _finite_support_draw(points, p_sc, scale, n, seed):
+    """A clean vector holding each (s, c) pair in exact proportion, plus one noise draw."""
+    idx = np.repeat(np.arange(p_sc.size), np.round(p_sc.reshape(-1) * n).astype(int))
+    s, which = np.divmod(idx, points.shape[0])
+    clean = points[which]
+    noisy = clean + np.random.default_rng(seed).laplace(0.0, scale, size=clean.shape)
+    return clean, s, noisy
+
+
+class TestLaplaceMixture:
+    # Over 40 noise seeds at n = 4000 the estimate's error against the
+    # quadrature truth had standard deviation 0.0025 (d = 1) and 0.0031
+    # (d = 2), with mean within 0.0004 of zero.
+    CASES = {
+        "d1": (np.array([[-0.5], [0.1], [0.5]]), [[0.25, 0.15, 0.10], [0.10, 0.15, 0.25]], 0.4, 4001),
+        "d2": (
+            np.array([[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5], [0.5, 0.5]]),
+            [[0.20, 0.12, 0.12, 0.06], [0.06, 0.12, 0.12, 0.20]],
+            0.5,
+            801,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_quadrature_truth(self, case):
+        points, p_sc, scale, grid = self.CASES[case]
+        p_sc = np.array(p_sc)
+        truth = _laplace_mixture_truth(points, p_sc, scale, grid)
+        assert truth > 0.02
+        clean, s, noisy = _finite_support_draw(points, p_sc, scale, 4000, seed=0)
+        assert laplace_mixture_mi(clean, s, noisy, scale) == pytest.approx(truth, abs=0.01)
+
+    def test_equals_naive_leave_one_out_mixtures(self):
+        rng = np.random.default_rng(5)
+        clean = rng.uniform(-0.5, 0.5, size=(30, 2))
+        s = rng.integers(0, 3, size=30)
+        noisy = clean + rng.laplace(0.0, 0.3, size=clean.shape)
+        terms = []
+        for j in range(30):
+            dens = np.exp(-np.abs(noisy[j] - clean).sum(axis=1) / 0.3) / 0.6**2
+            others = np.arange(30) != j
+            same = others & (s == s[j])
+            terms.append(np.log(dens[same].mean()) - np.log(dens[others].mean()))
+        assert laplace_mixture_mi(clean, s, noisy, 0.3) == pytest.approx(np.mean(terms), abs=1e-12)
+
+    def test_repeatable_bit_for_bit(self):
+        points, p_sc, scale, _ = self.CASES["d2"]
+        clean, s, noisy = _finite_support_draw(points, np.array(p_sc), scale, 1000, seed=1)
+        assert laplace_mixture_mi(clean, s, noisy, scale) == laplace_mixture_mi(clean, s, noisy, scale)
+
+    def test_row_order_and_block_size_do_not_matter(self, monkeypatch):
+        from ldpfair import info_measures as im
+
+        points, p_sc, scale, _ = self.CASES["d2"]
+        clean, s, noisy = _finite_support_draw(points, np.array(p_sc), scale, 600, seed=2)
+        ref = laplace_mixture_mi(clean, s, noisy, scale)
+        perm = np.random.default_rng(0).permutation(s.size)
+        assert laplace_mixture_mi(clean[perm], s[perm], noisy[perm], scale) == pytest.approx(ref, abs=1e-12)
+        monkeypatch.setattr(im, "_PAIR_BUDGET", 7 * s.size)
+        assert laplace_mixture_mi(clean, s, noisy, scale) == pytest.approx(ref, abs=1e-12)
+
+    def test_large_noise_is_near_zero(self):
+        points, p_sc, _, _ = self.CASES["d1"]
+        clean, s, noisy = _finite_support_draw(points, np.array(p_sc), 50.0, 2000, seed=3)
+        assert abs(laplace_mixture_mi(clean, s, noisy, 50.0)) < 0.005
+
+    def test_constant_s_or_singleton_class_rejected(self):
+        clean = np.linspace(-0.5, 0.5, 20).reshape(-1, 1)
+        with pytest.raises(PreconditionError):
+            laplace_mixture_mi(clean, np.zeros(20, dtype=int), clean, 0.3)
+        singleton = np.zeros(20, dtype=int)
+        singleton[7] = 1
+        with pytest.raises(PreconditionError):
+            laplace_mixture_mi(clean, singleton, clean, 0.3)
+
+    def test_shape_and_scale_validation(self):
+        clean = np.zeros((10, 2))
+        s = np.arange(10) % 2
+        with pytest.raises(PreconditionError):
+            laplace_mixture_mi(clean, s, np.zeros((10, 3)), 0.3)
+        with pytest.raises(PreconditionError):
+            laplace_mixture_mi(clean, s[:9], clean, 0.3)
+        with pytest.raises(PreconditionError):
+            laplace_mixture_mi(clean, s, clean, 0.0)

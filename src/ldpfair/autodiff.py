@@ -336,6 +336,19 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
+def take_cols(a: Tensor, cols) -> Tensor:
+    """Columns a[:, cols] of a matrix, for a slice or distinct column indices."""
+    out = Tensor(a.data[:, cols], parents=(a,))
+
+    def bw(g):
+        acc = np.zeros_like(a.data)
+        acc[:, cols] = g
+        _accum(a, acc)
+
+    out._backward_fn = bw if out.requires_grad else None
+    return out
+
+
 def pick(a: Tensor, indices: np.ndarray) -> Tensor:
     """Per-row element selection a[i, indices[i]]; the NLL primitive."""
     idx = np.asarray(indices, dtype=np.intp)

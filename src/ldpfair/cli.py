@@ -125,6 +125,33 @@ def _get_bool(cfg: dict, key: str, default: bool) -> bool:
     return flag
 
 
+def _number(key: str, value, cast):
+    """One config value as int or float; a grid, a non-number or a
+    fractional int is a ConfigError."""
+    if isinstance(value, list):
+        raise ConfigError(f"config key {key!r} takes one value, got the grid {value!r}")
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+    if cast is int and number != value:
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return number
+
+
+def _get_int(cfg: dict, key: str, default=None):
+    return _number(key, cfg[key], int) if key in cfg else default
+
+
+def _get_float(cfg: dict, key: str, default=None):
+    return _number(key, cfg[key], float) if key in cfg else default
+
+
+def _get_numbers(cfg: dict, key: str, cast, default=None, required: bool = False) -> list:
+    """A scalar or a grid, as a list of numbers."""
+    return [_number(key, v, cast) for v in _as_list(_get(cfg, key, default, required))]
+
+
 def _cache_dir(cfg: dict, out: Path) -> Path:
     return Path(os.environ.get(CACHE_ENV) or _get(cfg, "cache_dir", out / "cache"))
 
@@ -149,24 +176,24 @@ def _load_config_source(cfg: dict):
     if path:
         return load_source(path)
     return random_source(
-        int(_get(cfg, "card_u", 2)), int(_get(cfg, "card_s", 2)),
-        int(_get(cfg, "card_x", 3)), seed=int(_get(cfg, "source_seed", 0)),
+        _get_int(cfg, "card_u", 2), _get_int(cfg, "card_s", 2),
+        _get_int(cfg, "card_x", 3), seed=_get_int(cfg, "source_seed", 0),
     )
 
 
 def _solver_config(cfg: dict, beta: float, seed: int) -> SolverConfig:
     return SolverConfig(
         beta=beta,
-        restarts=int(_get(cfg, "restarts", 4)),
-        iterations=int(_get(cfg, "iterations", 1500)),
-        learning_rate=float(_get(cfg, "solver_lr", 0.05)),
-        zhat_card=(int(cfg["zhat_card"]) if "zhat_card" in cfg else None),
+        restarts=_get_int(cfg, "restarts", 4),
+        iterations=_get_int(cfg, "iterations", 1500),
+        learning_rate=_get_float(cfg, "solver_lr", 0.05),
+        zhat_card=_get_int(cfg, "zhat_card"),
         seed=seed,
     )
 
 
 def _solver_mechanism(cfg: dict, src, epsilon: float) -> RandomizedResponse:
-    k = int(_get(cfg, "zhat_card", src.card_x))
+    k = _get_int(cfg, "zhat_card", src.card_x)
     return RandomizedResponse(epsilon=epsilon, k=k, d=1)
 
 
@@ -180,15 +207,15 @@ def _load_dataset_pair(cfg: dict, out: Path):
     if name == "compas":
         return datasets.load_compas(_get(cfg, "compas_csv", required=True))
     if name == "synthetic":
-        card_x = int(_get(cfg, "card_x", 4))
-        feat_dim = int(_get(cfg, "feat_dim", card_x))
-        src = random_source(2, 2, card_x, seed=int(_get(cfg, "source_seed", 0)))
+        card_x = _get_int(cfg, "card_x", 4)
+        feat_dim = _get_int(cfg, "feat_dim", card_x)
+        src = random_source(2, 2, card_x, seed=_get_int(cfg, "source_seed", 0))
         means = 2.0 * np.eye(card_x, feat_dim)
         spec = datasets.SyntheticSpec(
-            source=src, means=means, sigma=float(_get(cfg, "sigma", 0.5)),
-            n_train=int(_get(cfg, "n_train", 4000)),
-            n_test=int(_get(cfg, "n_test", 2000)),
-            seed=int(_get(cfg, "data_seed", 0)),
+            source=src, means=means, sigma=_get_float(cfg, "sigma", 0.5),
+            n_train=_get_int(cfg, "n_train", 4000),
+            n_test=_get_int(cfg, "n_test", 2000),
+            seed=_get_int(cfg, "data_seed", 0),
         )
         return datasets.generate_synthetic(spec)
     raise ConfigError(f"unknown dataset {name!r}; use adult, compas, or synthetic")
@@ -199,9 +226,9 @@ def _mechanism(cfg: dict, epsilon: float):
         {
             "kind": _get(cfg, "mechanism", "laplace"),
             "epsilon": epsilon,
-            "t": _get(cfg, "t", 0.5),
-            "d": _get(cfg, "d", 2),
-            "k": _get(cfg, "k", 4),
+            "t": _get_float(cfg, "t", 0.5),
+            "d": _get_int(cfg, "d", 2),
+            "k": _get_int(cfg, "k", 4),
         }
     )
 
@@ -209,10 +236,10 @@ def _mechanism(cfg: dict, epsilon: float):
 def _train_config(cfg: dict, beta: float, seed: int) -> fair_encoder.TrainConfig:
     return fair_encoder.TrainConfig(
         beta=beta,
-        epochs=int(_get(cfg, "epochs", 150)),
-        batch_size=int(_get(cfg, "batch", 512)),
-        learning_rate=float(_get(cfg, "lr", 1e-3)),
-        mc_samples=int(_get(cfg, "L", 1)),
+        epochs=_get_int(cfg, "epochs", 150),
+        batch_size=_get_int(cfg, "batch", 512),
+        learning_rate=_get_float(cfg, "lr", 1e-3),
+        mc_samples=_get_int(cfg, "L", 1),
         seed=seed,
     )
 
@@ -245,7 +272,7 @@ def cmd_fetch_data(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     """Run every theory check; exit 0 iff all pass."""
     checks: dict[str, dict] = {}
-    rng_seeds = [seed + i for i in range(int(_get(cfg, "verify_sources", 3)))]
+    rng_seeds = [seed + i for i in range(_get_int(cfg, "verify_sources", 3))]
     check_floor = _get_bool(cfg, "check_budget_equals_floor", False)
 
     # closure + budget bound over random encoders and RR channels
@@ -254,24 +281,24 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     from .discrete_source import compose, induced_joint, random_channel
     from .info_measures import mutual_information
 
-    for eps in _as_list(_get(cfg, "epsilon", [0.5, 1.0, 2.0])):
-        mech_ch = rr_channel(RandomizedResponse(epsilon=float(eps), k=3, d=1))
+    for eps in _get_numbers(cfg, "epsilon", float, [0.5, 1.0, 2.0]):
+        mech_ch = rr_channel(RandomizedResponse(epsilon=eps, k=3, d=1))
         for s in rng_seeds:
             src = random_source(2, 2, 3, seed=s)
             enc = random_channel(3, 3, seed=s + 1)
-            if not check_lemma1(enc, mech_ch, float(eps)):
+            if not check_lemma1(enc, mech_ch, eps):
                 lemma_ok = False
-            ratio, _ = verify_ldp(compose(enc, mech_ch), float(eps))
-            worst_ratio = max(worst_ratio, ratio - float(eps))
+            ratio, _ = verify_ldp(compose(enc, mech_ch), eps)
+            worst_ratio = max(worst_ratio, ratio - eps)
             mi = mutual_information(induced_joint(src, compose(enc, mech_ch)).p_xz())
-            worst_mi = max(worst_mi, mi - float(eps))
+            worst_mi = max(worst_mi, mi - eps)
     checks["lemma1_closure"] = {"pass": lemma_ok, "worst_ratio_excess": worst_ratio}
     checks["lemma2_budget_bound"] = {"pass": worst_mi <= 1e-9, "worst_mi_excess": worst_mi}
 
     # bound chain at a solved operating point, plus the zero-budget case
     src = _load_config_source(cfg)
-    eps = float(_get(cfg, "solve_epsilon", 1.0))
-    beta = float(_as_list(_get(cfg, "beta", 10.0))[0])
+    eps = _get_float(cfg, "solve_epsilon", 1.0)
+    beta = _get_numbers(cfg, "beta", float, 10.0)[0]
     pt = solve_g(src, _solver_mechanism(cfg, src, eps), _solver_config(cfg, beta, seed))
     ok, report = check_theorem1(pt, gamma=pt.Gamma)
     checks["theorem1_bounds"] = {"pass": ok, **report}
@@ -285,8 +312,8 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     if check_floor:
         try:
             checks["budget_equals_floor"] = ib_solver.check_corollary2(
-                src, gamma=float(_get(cfg, "gamma", 0.05)),
-                budget=int(_get(cfg, "oracle_budget", 100_000)), cfg=_solver_config(cfg, beta, seed),
+                src, gamma=_get_float(cfg, "gamma", 0.05),
+                budget=_get_int(cfg, "oracle_budget", 100_000), cfg=_solver_config(cfg, beta, seed),
             )
         except LdpFairError as exc:
             checks["budget_equals_floor"] = {"pass": False, "error": str(exc)}
@@ -305,8 +332,8 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 
 def cmd_solve(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     src = _load_config_source(cfg)
-    eps = float(_as_list(_get(cfg, "epsilon", required=True))[0])
-    beta = float(_as_list(_get(cfg, "beta", 1.0))[0])
+    eps = _get_numbers(cfg, "epsilon", float, required=True)[0]
+    beta = _get_numbers(cfg, "beta", float, 1.0)[0]
     pt = solve_g(src, _solver_mechanism(cfg, src, eps), _solver_config(cfg, beta, seed))
     payload = {
         "config_hash": config_hash(cfg),
@@ -323,8 +350,8 @@ def cmd_solve(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 
 def cmd_frontier(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     src = _load_config_source(cfg)
-    eps = float(_as_list(_get(cfg, "epsilon", required=True))[0])
-    betas = [float(b) for b in _as_list(_get(cfg, "beta", required=True))]
+    eps = _get_numbers(cfg, "epsilon", float, required=True)[0]
+    betas = _get_numbers(cfg, "beta", float, required=True)
     points = trace_frontier(src, _solver_mechanism(cfg, src, eps), betas, _solver_config(cfg, betas[0], seed))
     rows = [
         [p.beta, p.epsilon, p.gamma_target, p.Gamma, p.Omega, p.nu, p.ixz, p.converged]
@@ -341,12 +368,12 @@ def cmd_frontier(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 
 def cmd_train(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     train_ds, _ = _load_dataset_pair(cfg, out)
-    eps = float(_as_list(_get(cfg, "epsilon", required=True))[0])
+    eps = _get_numbers(cfg, "epsilon", float, required=True)[0]
     mech = _mechanism(cfg, eps)
     model = fair_encoder.EncoderModel(
-        train_ds.schema, mech, seed=seed, code_dim=int(_get(cfg, "D", 8))
+        train_ds.schema, mech, seed=seed, code_dim=_get_int(cfg, "D", 8)
     )
-    tc = _train_config(cfg, float(_get(cfg, "beta", 1.0)), seed)
+    tc = _train_config(cfg, _get_float(cfg, "beta", 1.0), seed)
     history = fair_encoder.train(model, train_ds, tc)
     fair_encoder.save_model(model, out / "model.npz")
     _write_csv(
@@ -368,7 +395,7 @@ def cmd_evaluate(cfg: dict, out: Path, seed: int, jobs: int) -> int:
         raise DatasetError(f"no checkpoint at {ckpt}; run the train command first")
     model = fair_encoder.load_model(ckpt)
     _, test_ds = _load_dataset_pair(cfg, out)
-    seeds = [int(v) for v in _as_list(_get(cfg, "seeds", [seed]))]
+    seeds = _get_numbers(cfg, "seeds", int, [seed])
     report = fairness_metrics.full_report(model, test_ds, seeds)
     report.to_json(out / "report.json", extra={"config_hash": config_hash(cfg)})
     print(
@@ -388,10 +415,10 @@ def _sweep_cell(args):
         train_ds, test_ds = _load_dataset_pair(cell_cfg, out)
         mech = _mechanism(cell_cfg, eps)
         model = fair_encoder.EncoderModel(
-            train_ds.schema, mech, seed=seed, code_dim=int(_get(cell_cfg, "D", 8))
+            train_ds.schema, mech, seed=seed, code_dim=_get_int(cell_cfg, "D", 8)
         )
         fair_encoder.train(model, train_ds, _train_config(cell_cfg, beta, seed))
-        seeds = [int(v) for v in _as_list(_get(cell_cfg, "seeds", [seed]))]
+        seeds = _get_numbers(cell_cfg, "seeds", int, [seed])
         rep = fairness_metrics.full_report(model, test_ds, seeds)
         return [
             [beta, eps, mode, rep.per_seed["accuracy"][i], rep.per_seed["delta_dp"][i],
@@ -404,8 +431,8 @@ def _sweep_cell(args):
 
 
 def cmd_sweep(cfg: dict, out: Path, seed: int, jobs: int) -> int:
-    betas = [float(b) for b in _as_list(_get(cfg, "beta", required=True))]
-    epsilons = [float(e) for e in _as_list(_get(cfg, "epsilon", required=True))]
+    betas = _get_numbers(cfg, "beta", float, required=True)
+    epsilons = _get_numbers(cfg, "epsilon", float, required=True)
     modes = [str(m) for m in _as_list(_get(cfg, "mechanism", "laplace"))]
     cells = [(cfg, str(out), b, e, m, seed) for b in betas for e in epsilons for m in modes]
 

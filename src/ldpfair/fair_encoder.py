@@ -133,7 +133,7 @@ class EncoderModel:
             ad.MlpSpec((repr_dim + card_s, HIDDEN_WIDTH, side_out), ("relu", "identity")), rng
         )
 
-        # constant selection matrices splitting decoder output per column kind
+        # decoder output columns per column kind
         offsets = np.cumsum([0] + [c.size for c in schema])
         self._numeric_cols = np.array(
             [offsets[i] for i, c in enumerate(schema) if c.kind == "numeric"], dtype=np.intp
@@ -272,14 +272,11 @@ def _loss_graph(model, x, u, s, cfg, rng):
         pred = model.side_decoder(ad.concat([dec_in, ad.Tensor(s_onehot)], axis=1))
         nll_parts = []
         if model._numeric_cols.size:
-            sel = np.zeros((pred.shape[1], model._numeric_cols.size))
-            sel[model._numeric_cols, np.arange(model._numeric_cols.size)] = 1.0
-            diff = ad.sub(ad.matmul(pred, ad.Tensor(sel)), ad.Tensor(x[:, model._numeric_cols]))
+            cols = model._numeric_cols
+            diff = ad.sub(ad.take_cols(pred, cols), ad.Tensor(x[:, cols]))
             nll_parts.append(ad.mul(ad.Tensor(0.5), ad.tsum(ad.square(diff), axis=1)))
         for lo, hi in model._cat_slices:
-            sel = np.zeros((pred.shape[1], hi - lo))
-            sel[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-            logp = ad.log_softmax(ad.matmul(pred, ad.Tensor(sel)))
+            logp = ad.log_softmax(ad.take_cols(pred, slice(lo, hi)))
             nll_parts.append(
                 ad.mul(ad.Tensor(-1.0), ad.tsum(ad.mul(logp, ad.Tensor(x[:, lo:hi])), axis=1))
             )

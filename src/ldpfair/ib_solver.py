@@ -7,7 +7,10 @@ the information bottleneck), so one batched Adam ascent runs every
 restart and every beta of a frontier at once, and every reported
 quantity is recomputed exactly.  A brute-force candidate search over raw
 channels provides the independent oracle for the constrained problem
-min I(S;Z) subject to I(U;Z) >= gamma.
+min I(S;Z) subject to I(U;Z) >= gamma: a worker thread draws its random
+candidates in chunks of 25k while the calling thread scores the previous
+chunk, with the same candidate stream and the same first-minimum choice
+as a serial search.  Solver and oracle share one MI kernel, `_log_ratio`.
 
 Only the discrete randomized-response mechanism is admitted here: it has
 an exact finite channel form, so the theory checks are enumerations, not
@@ -18,6 +21,7 @@ encoder path with estimated information measures.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,12 +77,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def _log_ratio(p_ax: np.ndarray, channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(a, z) and log[p(a,z) / (p(a) p(z))], 0 where p(a,z) = 0, for each
     channel p(z|x) in a (B, X, Z) batch, given the table p(a, x)."""
-    p_az = np.einsum("ax,bxz->baz", p_ax, channels)
-    p_a = p_ax.sum(axis=1)
-    p_z = p_az.sum(axis=1)
+    p_az = p_ax @ channels
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = p_az / (p_a[None, :, None] * p_z[:, None, :])
-        return p_az, np.where(p_az > 0, np.log(ratio), 0.0)
+        log_ratio = np.log(p_az)
+        log_ratio -= np.log(p_az.sum(axis=1, keepdims=True))
+        log_ratio -= np.log(p_ax.sum(axis=1))[:, None]
+    np.copyto(log_ratio, 0.0, where=p_az == 0)
+    return p_az, log_ratio
 
 
 def _objective_graph(
@@ -247,6 +252,9 @@ def check_theorem1(pt: FrontierPoint, gamma: float, tol: float = 1e-6) -> tuple[
 
 # -- brute-force oracle ------------------------------------------------------
 
+_CONCENTRATIONS = (0.05, 0.2, 1.0, 5.0)  # Dirichlet concentrations of the random candidates
+_CHUNK = 25_000  # random candidates per drawn and scored batch
+
 
 def _batched_mi_terms(probs_2d: np.ndarray, channels: np.ndarray) -> np.ndarray:
     """I(A;Z) for each channel in a (B, X, Z) batch, given p(a, x)."""
@@ -266,6 +274,13 @@ def solve_G_bruteforce(
     Searches deterministic channels plus Dirichlet-sampled random
     channels at several concentrations; intended for |X| <= 4, |Z| <= 4
     where the candidate cloud covers the feasible set densely.
+
+    The random candidates come in chunks of _CHUNK.  One worker thread
+    draws chunk k + 1 while this thread scores chunk k; the worker makes
+    the same ``rng.dirichlet`` calls in the same order as a serial loop,
+    and a split draw equals an unsplit one, so the candidate stream does
+    not depend on the chunking.  A later candidate replaces the best only
+    if its leakage is strictly lower, so the first minimum wins.
     """
     card_z = card_z if card_z is not None else src.card_x
     if src.card_x > 4 or card_z > 4:
@@ -285,14 +300,14 @@ def solve_G_bruteforce(
     def consider(channels: np.ndarray) -> None:
         nonlocal best_leak, best_channel
         util = _batched_mi_terms(p_ux, channels)
-        feasible = util >= gamma - CONSTRAINT_TOL
-        if not feasible.any():
+        feasible = channels[util >= gamma - CONSTRAINT_TOL]
+        if not len(feasible):
             return
-        leak = _batched_mi_terms(p_sx, channels[feasible])
+        leak = _batched_mi_terms(p_sx, feasible)
         i = int(np.argmin(leak))
         if leak[i] < best_leak:
             best_leak = float(leak[i])
-            best_channel = channels[feasible][i]
+            best_channel = feasible[i].copy()  # not a view pinning the batch
 
     # all deterministic channels (at most card_z**card_x <= 256)
     n_det = card_z**src.card_x
@@ -302,19 +317,25 @@ def solve_G_bruteforce(
         for x in range(src.card_x):
             det[idx, x, code % card_z] = 1.0
             code //= card_z
-    consider(det)
 
-    remaining = max(budget - n_det, 0)
-    concentrations = (0.05, 0.2, 1.0, 5.0)
-    chunk = 50_000
-    per_conc = remaining // len(concentrations)
-    for alpha in concentrations:
-        done = 0
-        while done < per_conc:
-            b = min(chunk, per_conc - done)
-            channels = rng.dirichlet(np.full(card_z, alpha), size=(b, src.card_x))
+    per_conc = max(budget - n_det, 0) // len(_CONCENTRATIONS)
+    draws = [
+        (alpha, min(_CHUNK, per_conc - done))
+        for alpha in _CONCENTRATIONS
+        for done in range(0, per_conc, _CHUNK)
+    ]
+
+    def draw(alpha: float, size: int) -> np.ndarray:
+        return rng.dirichlet(np.full(card_z, alpha), size=(size, src.card_x))
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        futures = (worker.submit(draw, *d) for d in draws)  # each submitted when taken
+        pending = next(futures, None)
+        consider(det)
+        while pending is not None:
+            channels = pending.result()
+            pending = next(futures, None)
             consider(channels)
-            done += b
 
     if best_channel is None:
         raise InfeasibleGammaError(

@@ -121,6 +121,11 @@ class TestGradients:
         idx = np.array([0, 1, 2, 0])
         check_op(lambda t: ad.pick(t, idx), self.x)
 
+    @pytest.mark.parametrize("cols", [slice(1, 3), np.array([2, 0])], ids=["slice", "indices"])
+    def test_take_cols(self, cols):
+        w = np.random.default_rng(8).normal(size=(4, 2))
+        check_op(lambda t: ad.mul(ad.take_cols(t, cols), ad.Tensor(w)), self.x)
+
     def test_mlp_end_to_end(self):
         rng = np.random.default_rng(7)
         net = ad.Mlp(ad.MlpSpec((3, 5, 2), ("tanh", "identity")), rng)

@@ -125,6 +125,24 @@ class TestCommands:
         cfg.write_text(cfg.read_text().replace("=false", "=maybe"))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("epochs=one", "must be a number"),
+            ("beta=logspace(-1,1,3)", "takes one value"),
+            ("batch=2.5", "must be an integer"),
+            ("epsilon=5,abc", "must be a number"),
+        ],
+    )
+    def test_train_bad_number_exits_2(self, tmp_path, capsys, line, message):
+        key = line.split("=")[0]
+        text = "\n".join(line if ln.startswith(key + "=") else ln for ln in SYNTH_CFG.splitlines())
+        cfg = write_cfg(tmp_path, text)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r} {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "model.npz").exists()
+
     def test_fetch_data_synthetic_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, SYNTH_CFG)
         assert main(["fetch-data", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -1,3 +1,6 @@
+import itertools
+import math
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,13 +13,15 @@ from ldpfair import (
     SolverConfig,
     check_theorem1,
     mutual_information,
+    new_channel,
     random_source,
     rr_channel,
     solve_G_bruteforce,
     solve_g,
     trace_frontier,
 )
-from ldpfair.ib_solver import _objective_graph, objective_and_grad
+from ldpfair import ib_solver
+from ldpfair.ib_solver import _batched_mi_terms, _log_ratio, _objective_graph, objective_and_grad
 
 FAST = SolverConfig(restarts=2, iterations=800)
 
@@ -162,3 +167,91 @@ class TestBruteForceOracle:
         a, _ = solve_G_bruteforce(src, gamma=0.02, budget=20_000, seed=0)
         b, _ = solve_G_bruteforce(src, gamma=0.02, budget=20_000, seed=0)
         assert a == b
+
+
+def serial_oracle(src, gamma, budget, seed):
+    """The oracle's search written as one serial pass: every deterministic
+    channel, then one unchunked Dirichlet draw per concentration."""
+    k = src.card_x
+    # channel i sends x to digit x of i in base k, as the oracle enumerates them
+    det = np.array([np.eye(k)[list(code[::-1])] for code in itertools.product(range(k), repeat=k)])
+    rng = np.random.default_rng(seed)
+    per_conc = (budget - len(det)) // 4
+    draws = [rng.dirichlet(np.full(k, a), size=(per_conc, k)) for a in (0.05, 0.2, 1.0, 5.0)]
+    cands = np.concatenate([det] + draws)
+    feasible = cands[_batched_mi_terms(src.p_ux(), cands) >= gamma - 1e-6]
+    leak = _batched_mi_terms(src.p_sx(), feasible)
+    i = int(np.argmin(leak))  # the first minimum
+    return float(leak[i]), new_channel(feasible[i]).rows
+
+
+class TestOraclePipeline:
+    # 57k candidates per concentration: three chunks each, the last one partial
+    BUDGET = 230_000
+
+    # at gamma = 0 every constant channel leaks nothing: a tie the first one wins
+    @pytest.mark.parametrize("card_x, seed, frac", [(3, 1, 0.5), (4, 2, 0.5), (3, 5, 0.0)])
+    def test_equals_serial_search(self, card_x, seed, frac):
+        src = random_source(2, 2, card_x, seed=seed)
+        gamma = frac * mutual_information(src.p_ux())
+        leak, ch = solve_G_bruteforce(src, gamma, budget=self.BUDGET, seed=seed)
+        ref_leak, ref_ch = serial_oracle(src, gamma, self.BUDGET, seed)
+        assert leak == ref_leak
+        np.testing.assert_array_equal(ch.rows, ref_ch)
+
+    def test_chunk_size_does_not_matter(self, monkeypatch):
+        src = random_source(2, 2, 4, seed=3)
+        gamma = 0.5 * mutual_information(src.p_ux())
+        leak, ch = solve_G_bruteforce(src, gamma, budget=self.BUDGET, seed=0)
+        monkeypatch.setattr(ib_solver, "_CHUNK", 7_001)  # divides no per-concentration count here
+        leak_small, ch_small = solve_G_bruteforce(src, gamma, budget=self.BUDGET, seed=0)
+        assert leak_small == leak
+        np.testing.assert_array_equal(ch_small.rows, ch.rows)
+
+    def test_worker_thread_ends(self, monkeypatch):
+        src = random_source(2, 2, 3, seed=4)
+        cap = mutual_information(src.p_ux())
+        before = threading.active_count()
+        solve_G_bruteforce(src, 0.5 * cap, budget=60_000, seed=0)
+        assert threading.active_count() == before
+        # |Z| = 2 < |X| merges two inputs, so no candidate reaches I(U;X)
+        with pytest.raises(InfeasibleGammaError, match="no candidate"):
+            solve_G_bruteforce(src, cap, budget=60_000, seed=0, card_z=2)
+        assert threading.active_count() == before
+
+        calls = []
+
+        def failing(probs, channels):
+            calls.append(len(channels))
+            if len(calls) == 3:
+                raise RuntimeError("scoring failed")
+            return _batched_mi_terms(probs, channels)
+
+        monkeypatch.setattr(ib_solver, "_batched_mi_terms", failing)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            solve_G_bruteforce(src, 0.5 * cap, budget=60_000, seed=0)
+        assert threading.active_count() == before
+
+
+class TestLogRatio:
+    def test_matches_per_cell_formula_with_zero_cells(self):
+        src = random_source(2, 2, 4, seed=6)
+        det = np.array([np.eye(4)[list(code)] for code in itertools.product(range(4), repeat=4)])
+        for p_ax in (src.p_ux(), src.p_sx(), np.diag(src.p_x())):
+            p_az, log_ratio = _log_ratio(p_ax, det)
+            p_a = p_ax.sum(axis=1)
+            for b, a, z in itertools.product(range(len(det)), range(len(p_a)), range(4)):
+                joint = sum(p_ax[a, x] * det[b, x, z] for x in range(4))
+                p_z = sum(p_ax[i, x] * det[b, x, z] for i in range(len(p_a)) for x in range(4))
+                naive = math.log(joint / (p_a[a] * p_z)) if joint > 0 else 0.0
+                assert p_az[b, a, z] == pytest.approx(joint, abs=1e-15)
+                assert abs(log_ratio[b, a, z] - naive) <= 1e-15
+
+    @pytest.mark.parametrize("card_x", [3, 4])
+    def test_vanishes_under_zero_budget_rr(self, card_x):
+        rows = rr_channel(RandomizedResponse(epsilon=0.0, k=card_x, d=1)).rows
+        for seed in range(4):
+            src = random_source(2, 2, card_x, seed=seed)
+            for p_ax in (src.p_ux(), src.p_sx()):
+                _, log_ratio = _log_ratio(p_ax, rows[None])
+                assert np.abs(log_ratio).max() <= 1e-15

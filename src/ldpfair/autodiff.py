@@ -8,6 +8,23 @@ at the next cyclic garbage collection.  Tensors wrap numpy arrays of up
 to 3 axes; parameters persist across steps while the graph is rebuilt
 each forward pass.  A graph is single-owner and single-threaded;
 independent graphs may run in parallel.
+
+An affine layer is one node: `dense(x, w, b, act)` computes act(x @ w + b)
+with the same float operations, in the same order, as the `matmul`, `add`
+and activation ops chained, and runs one backward for all three.  Every
+activation has one forward and one backward kernel in `ACTIVATIONS`; the
+activation ops, `dense` and hand-written passes such as MINE's all use
+them.
+
+Gradient ownership: `_accum` stores the array a backward closure passes it
+without copying, so a stored `.grad` may be, or share memory with, another
+tensor's gradient.  A second contribution is added out of place, and no
+code may write into a stored `.grad` in place.
+
+After its first `adam_step`, a parameter's `.data` is a view into the
+optimizer's one flat buffer, and Adam updates every parameter in one
+vectorized pass.  Replacing a parameter, or assigning its `.data`, makes
+the next step copy the current values into a new buffer.
 """
 
 from __future__ import annotations
@@ -87,10 +104,52 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Take g as t's gradient, or add it to the stored one out of place."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g
     else:
         t.grad = t.grad + g
+
+
+# -- activation kernels ------------------------------------------------------
+
+# name -> (forward(z, out=None), backward(g, y, out=None)).  The backward
+# maps the upstream gradient g to the gradient w.r.t. the pre-activation z
+# from the output y alone (relu's mask z > 0 is y > 0, relu6's 0 < z < 6 is
+# 0 < y < 6), so a forward may overwrite z.  A backward writes into g only
+# when g is passed as out.
+
+
+def _softmax_fwd(z, out=None):
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+ACTIVATIONS = {
+    "relu": (
+        lambda z, out=None: np.maximum(z, 0.0, out=out),
+        lambda g, y, out=None: np.multiply(g, y > 0, out=out),
+    ),
+    "relu6": (
+        lambda z, out=None: np.clip(z, 0.0, 6.0, out=out),
+        lambda g, y, out=None: np.multiply(g, (y > 0) & (y < 6), out=out),
+    ),
+    "tanh": (
+        lambda z, out=None: np.tanh(z, out=out),
+        lambda g, y, out=None: np.multiply(g, 1.0 - y * y, out=out),
+    ),
+    "sigmoid": (
+        lambda z, out=None: np.divide(1.0, 1.0 + np.exp(-z), out=out),
+        lambda g, y, out=None: np.multiply(g * y, 1.0 - y, out=out),
+    ),
+    "softmax": (
+        _softmax_fwd,
+        lambda g, y, out=None: np.multiply(y, g - (g * y).sum(axis=-1, keepdims=True), out=out),
+    ),
+    "identity": (lambda z, out=None: z, lambda g, y, out=None: g),
+}
 
 
 # -- forward ops -------------------------------------------------------------
@@ -188,57 +247,57 @@ def exp(a: Tensor) -> Tensor:
     return out
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), parents=(a,))
+def _activation(a: Tensor, name: str) -> Tensor:
+    forward, backward_fn = ACTIVATIONS[name]
+    y = forward(a.data)
+    out = Tensor(y, parents=(a,))
 
     def bw(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, backward_fn(g, y))
 
     out._backward_fn = bw if out.requires_grad else None
     return out
+
+
+def relu(a: Tensor) -> Tensor:
+    return _activation(a, "relu")
 
 
 def relu6(a: Tensor) -> Tensor:
-    out = Tensor(np.clip(a.data, 0.0, 6.0), parents=(a,))
-
-    def bw(g):
-        _accum(a, g * ((a.data > 0) & (a.data < 6)))
-
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return _activation(a, "relu6")
 
 
 def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = Tensor(y, parents=(a,))
-
-    def bw(g):
-        _accum(a, g * (1.0 - y * y))
-
-    out._backward_fn = bw if out.requires_grad else None
-    return out
+    return _activation(a, "tanh")
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y, parents=(a,))
+    return _activation(a, "sigmoid")
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    return _activation(a, "softmax")
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "identity") -> Tensor:
+    """act(x @ w + b) as one node; b broadcasts to the shape of x @ w."""
+    if x.data.shape[-1] != w.data.shape[0]:
+        raise DimensionMismatchError(f"dense: {x.data.shape} @ {w.data.shape}")
+    forward, backward_fn = ACTIVATIONS[act]
+    z = x.data @ w.data
+    z += b.data
+    y = forward(z, out=z)
+    out = Tensor(y, parents=(x, w, b))
 
     def bw(g):
-        _accum(a, g * y * (1.0 - y))
-
-    out._backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, parents=(a,))
-
-    def bw(g):
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        _accum(a, p * (g - dot))
+        gz = backward_fn(g, y)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(gz, b.data.shape))
+        if x.requires_grad:
+            _accum(x, gz @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ gz)
 
     out._backward_fn = bw if out.requires_grad else None
     return out
@@ -295,11 +354,6 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
 
     out._backward_fn = bw if out.requires_grad else None
     return out
-
-
-def stopgradient(a: Tensor) -> Tensor:
-    """Pass values through, block all gradient flow."""
-    return Tensor(a.data)
 
 
 def square(a: Tensor) -> Tensor:
@@ -384,7 +438,8 @@ def backward(loss: Tensor) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            # a leaf has no backward to order; its gradient comes from its consumers
+            if p._backward_fn is not None and id(p) not in visited:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
@@ -398,16 +453,6 @@ def zero_grad(params) -> None:
 
 
 # -- MLP building blocks -----------------------------------------------------
-
-ACTIVATIONS = {
-    "relu": relu,
-    "relu6": relu6,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "softmax": softmax,
-    "identity": lambda t: t,
-}
-
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -446,7 +491,7 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         h = x
         for w, b, act in zip(self.weights, self.biases, self.spec.activations):
-            h = ACTIVATIONS[act](add(matmul(h, w), b))
+            h = dense(h, w, b, act)
         return h
 
     def parameters(self) -> list[Tensor]:
@@ -461,34 +506,60 @@ class Mlp:
 
 @dataclass
 class AdamState:
+    """Adam's settings and state.  The moments m and v are flat arrays over
+    the bound parameters, raveled and concatenated in list order; a caller
+    that replaces parameters between steps resizes them to match."""
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    flat: np.ndarray | None = field(default=None, repr=False)  # bound parameter values
+    views: list = field(default_factory=list, repr=False)  # each bound param's .data
+
+
+def _bind(params: list[Tensor], state: AdamState) -> None:
+    """Move the parameters' current values into one new flat buffer and make
+    each parameter's .data a view into it."""
+    size = sum(p.data.size for p in params)
+    if state.m is None:
+        state.m, state.v = np.zeros(size), np.zeros(size)
+    elif state.m.shape != (size,) or state.v.shape != (size,):
+        raise DimensionMismatchError(f"adam_step: moments of size {state.m.size} for {size} parameter values")
+    state.flat = np.concatenate([p.data.ravel() for p in params])
+    state.views = []
+    lo = 0
+    for p in params:
+        p.data = state.flat[lo : lo + p.data.size].reshape(p.data.shape)
+        state.views.append(p.data)
+        lo += p.data.size
 
 
 def adam_step(params: list[Tensor], state: AdamState, grads=None) -> None:
     """Standard Adam update in place; grads default to each param's .grad."""
     if grads is None:
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
     if len(grads) != len(params) or any(g.shape != p.data.shape for g, p in zip(grads, params)):
         raise DimensionMismatchError("adam_step: gradient shapes do not match parameters")
+    if len(params) != len(state.views) or any(p.data is not v for p, v in zip(params, state.views)):
+        _bind(params, state)
+    g = np.concatenate([g.ravel() for g in grads])
     state.step += 1
     t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1 - state.beta1) * g
-        v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        mhat = m / (1 - state.beta1**t)
-        vhat = v / (1 - state.beta2**t)
-        p.data -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1 - state.beta1) * g
+    v *= state.beta2
+    v += (1 - state.beta2) * g * g
+    denom = np.sqrt(v / (1 - state.beta2**t))
+    denom += state.eps
+    update = m / (1 - state.beta1**t)
+    update *= state.lr
+    update /= denom
+    state.flat -= update
 
 
 # -- checkpointing -----------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import hashlib
 import json
 import os
@@ -49,6 +50,15 @@ SWEEP_COLUMNS = [
     "leakage_nats", "sensitive_acc", "seed",
 ]
 
+# every key some command reads; any other key is a misspelling
+KNOWN_KEYS = frozenset({
+    "D", "L", "adult_url", "batch", "beta", "cache_dir", "card_s", "card_u", "card_x",
+    "check_budget_equals_floor", "compas_csv", "d", "data_seed", "dataset", "epochs",
+    "epsilon", "feat_dim", "gamma", "iterations", "k", "lr", "mechanism", "model",
+    "n_test", "n_train", "oracle_budget", "restarts", "seeds", "sigma", "solve_epsilon",
+    "solver_lr", "source", "source_seed", "sweep", "t", "verify_sources", "zhat_card",
+})
+
 _GRID_RE = re.compile(r"^logspace\(\s*(-?[\d.]+)\s*,\s*(-?[\d.]+)\s*,\s*(\d+)\s*\)$")
 
 
@@ -66,6 +76,15 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"config line {lineno}: empty key")
         cfg[key] = _parse_value(value)
     return cfg
+
+
+def check_keys(cfg: dict) -> None:
+    """Reject a key no command reads, suggesting the nearest known one."""
+    for key in cfg:
+        if key not in KNOWN_KEYS:
+            near = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config key {key!r}{hint}")
 
 
 def _parse_value(value: str):
@@ -510,6 +529,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = parse_config(args.config.read_text()) if args.config else {}
+        check_keys(cfg)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -107,15 +107,6 @@ def _objective_graph(
     return value[:, 0, 0], enc * (g_enc - (enc * g_enc).sum(axis=2, keepdims=True))
 
 
-def objective_and_grad(
-    src: JointSourceUSX, mech: RandomizedResponse, logits: np.ndarray, beta: float
-) -> tuple[float, np.ndarray]:
-    """Objective value and its exact gradient w.r.t. encoder logits."""
-    batch = np.asarray(logits, dtype=np.float64)[None]
-    val, grad = _objective_graph(batch, src, rr_channel(mech).rows, np.array([beta]))
-    return float(val[0]), grad[0]
-
-
 def _exact_point(
     src: JointSourceUSX, enc: Channel, rr_rows: np.ndarray, beta: float, epsilon: float, converged: bool
 ) -> FrontierPoint:
@@ -180,8 +171,9 @@ def _solve(
             logits[active[done]] = param.data[done]
             keep = ~done
             active, val, grad = active[keep], val[keep], grad[keep]
+            if opt.m is not None:  # Adam's flat moments, in the parameter's layout
+                opt.m, opt.v = (a.reshape(param.data.shape)[keep].ravel() for a in (opt.m, opt.v))
             param = ad.parameter(param.data[keep])
-            opt.m, opt.v = [m[keep] for m in opt.m], [v[keep] for v in opt.v]
             if not active.size:
                 break
         last[active] = val

@@ -176,36 +176,6 @@ def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
 
 # -- MINE --------------------------------------------------------------------
 
-# Statistics-network activations: forward map of the pre-activation z, and
-# the backward map of an upstream gradient g given z and the output h, which
-# may overwrite g.  Each pair does the same float operations as the autodiff
-# op of that name, so the hand-written gradient below equals the taped one
-# bit for bit.
-_ACTIVATIONS = {
-    "relu": (
-        lambda z, out: np.maximum(z, 0.0, out=out),
-        lambda g, z, h: np.multiply(g, z > 0, out=g),
-    ),
-    "relu6": (
-        lambda z, out: np.clip(z, 0.0, 6.0, out=out),
-        lambda g, z, h: np.multiply(g, (z > 0) & (z < 6), out=g),
-    ),
-    "tanh": (
-        lambda z, out: np.tanh(z, out=out),
-        lambda g, z, h: np.multiply(g, 1.0 - h * h, out=g),
-    ),
-    "sigmoid": (
-        lambda z, out: np.divide(1.0, 1.0 + np.exp(-z), out=out),
-        lambda g, z, h: np.multiply(g * h, 1.0 - h, out=g),
-    ),
-    "softmax": (
-        lambda z, out: ad.softmax(ad.Tensor(z)).data,
-        lambda g, z, h: h * (g - (g * h).sum(axis=-1, keepdims=True)),
-    ),
-    "identity": (lambda z, out: z, lambda g, z, h: g),
-}
-
-
 @dataclass(frozen=True)
 class MineConfig:
     """Donsker-Varadhan estimator settings.
@@ -232,21 +202,23 @@ class MineConfig:
             raise PreconditionError("iterations must cover at least one averaging window")
 
 
-def _forward(net: ad.Mlp, acts, x: np.ndarray, pre_act, outs) -> list[np.ndarray]:
-    """Layer outputs [x, h_1, ..., h_L], computed in the given per-layer buffers."""
+def _forward(net: ad.Mlp, x: np.ndarray, outs) -> list[np.ndarray]:
+    """Layer outputs [x, h_1, ..., h_L], each computed in place in its buffer
+    with the autodiff activation kernels, so they equal the taped forward."""
     hs = [x]
-    for w, b, (act, _), z, o in zip(net.weights, net.biases, acts, pre_act, outs):
-        np.matmul(hs[-1], w.data, out=z)
-        z += b.data
-        hs.append(act(z, o))
+    for w, b, act, o in zip(net.weights, net.biases, net.spec.activations, outs):
+        np.matmul(hs[-1], w.data, out=o)
+        o += b.data
+        hs.append(ad.ACTIVATIONS[act][0](o, out=o))
     return hs
 
 
-def _backward(net: ad.Mlp, acts, hs, pre_act, g: np.ndarray, grad_in) -> list[np.ndarray]:
-    """Gradients in `net.parameters()` order for upstream gradient g on the output."""
+def _backward(net: ad.Mlp, hs, g: np.ndarray, grad_in) -> list[np.ndarray]:
+    """Gradients in `net.parameters()` order for upstream gradient g on the
+    output, which is overwritten; equal to the taped backward bit for bit."""
     grads: list[np.ndarray] = []
-    for i in reversed(range(len(pre_act))):
-        g = acts[i][1](g, pre_act[i], hs[i + 1])
+    for i in reversed(range(len(net.weights))):
+        g = ad.ACTIVATIONS[net.spec.activations[i]][1](g, hs[i + 1], out=g)
         grads[:0] = [hs[i].T @ g, g.sum(axis=0)]
         if i == 0:
             break
@@ -260,8 +232,9 @@ def mine_estimate(samples_a, samples_b, cfg: MineConfig, seed: int) -> float:
     Deterministic given the seed.  Raises DivergenceError on non-finite
     values, which usually signals a too-large learning rate.  The network
     is built and updated with the autodiff module's Mlp and Adam, but its
-    gradient is computed by hand: the loss has one fixed shape, and taping
-    it costs more than the matrix products themselves.
+    gradient is computed by hand, with the same activation kernels: the
+    loss has one fixed shape, and taping it costs more than the matrix
+    products themselves.
     """
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
@@ -279,7 +252,6 @@ def mine_estimate(samples_a, samples_b, cfg: MineConfig, seed: int) -> float:
         activations=(cfg.activation,) * len(cfg.hidden) + ("identity",),
     )
     net = ad.Mlp(spec, rng)
-    acts = [_ACTIVATIONS[name] for name in spec.activations]
     params = net.parameters()
     opt = ad.AdamState(lr=cfg.learning_rate)
 
@@ -288,20 +260,19 @@ def mine_estimate(samples_a, samples_b, cfg: MineConfig, seed: int) -> float:
     recent: list[float] = []
     # per-layer buffers, reused every pass: on two cores, writing a matrix
     # product into fresh memory costs about as much as computing it
-    pre_act = [np.empty((batch, w)) for w in spec.widths[1:]]
-    grad_in = [np.empty((batch, w)) for w in spec.widths[1:-1]]
     outs = [np.empty((batch, w)) for w in spec.widths[1:]]
+    grad_in = [np.empty((batch, w)) for w in spec.widths[1:-1]]
     for it in range(cfg.iterations):
         idx = rng.integers(0, n, size=batch)
         shuffle = rng.permutation(batch)
         xa, xb = a[idx], b[idx]
         # The joint term's gradient does not depend on the EMA, so its pass
         # is finished before the marginal pass reuses the work buffers.
-        hs = _forward(net, acts, np.concatenate([xa, xb], axis=1), pre_act, outs)
+        hs = _forward(net, np.concatenate([xa, xb], axis=1), outs)
         t_joint = float(hs[-1].mean())
-        grads = _backward(net, acts, hs, pre_act, np.full((batch, 1), -1.0 / batch), grad_in)
+        grads = _backward(net, hs, np.full((batch, 1), -1.0 / batch), grad_in)
 
-        hs = _forward(net, acts, np.concatenate([xa, xb[shuffle]], axis=1), pre_act, outs)
+        hs = _forward(net, np.concatenate([xa, xb[shuffle]], axis=1), outs)
         # clip the statistic before exponentiation to keep the partition
         # term finite early in training
         t_marg = hs[-1]
@@ -324,7 +295,7 @@ def mine_estimate(samples_a, samples_b, cfg: MineConfig, seed: int) -> float:
         # EMA-corrected gradient: d/dtheta [ -T_joint + denom / ema ]
         g_marg = np.full((batch, 1), (1.0 / ema_denominator) / batch) * exp_marg
         g_marg = g_marg * ((t_marg >= -50.0) & (t_marg <= 50.0))
-        grads_marg = _backward(net, acts, hs, pre_act, g_marg, grad_in)
+        grads_marg = _backward(net, hs, g_marg, grad_in)
         ad.adam_step(params, opt, [gj + gm for gj, gm in zip(grads, grads_marg)])
 
     return float(np.mean(recent))

@@ -153,14 +153,33 @@ class TestGradients:
             np.testing.assert_allclose(analytic, num, rtol=1e-4, atol=1e-8)
 
 
-class TestStopgradient:
-    def test_blocks_gradient(self):
-        t = ad.parameter(np.array([1.0, 2.0]))
-        loss = ad.mean(ad.mul(ad.stopgradient(t), t))
-        ad.backward(loss)
-        # d/dt mean(sg(t) * t) = sg(t)/2, not t
-        np.testing.assert_allclose(t.grad, t.data / 2)
+class TestDense:
+    @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
+    def test_equals_unfused_tape(self, act):
+        # one fused node, the same float operations as matmul -> add -> act
+        rng = np.random.default_rng(9)
+        xv, wv, bv = rng.normal(size=(7, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        xv[0, :] *= 4.0  # some pre-activations above relu6's cap
+        upstream = ad.Tensor(rng.normal(size=(7, 5)))
+        unfused = {
+            "relu": ad.relu, "relu6": ad.relu6, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
+            "softmax": ad.softmax, "identity": lambda t: t,
+        }[act]
+        results = []
+        for fused in (True, False):
+            x, w, b = ad.parameter(xv), ad.parameter(wv), ad.parameter(bv)
+            out = ad.dense(x, w, b, act) if fused else unfused(ad.add(ad.matmul(x, w), b))
+            ad.backward(ad.tsum(ad.mul(out, upstream)))
+            results.append([out.data, w.grad, b.grad, x.grad])
+        for fused, tape in zip(*results):
+            assert np.array_equal(fused, tape)
 
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            ad.dense(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))), ad.Tensor(np.zeros(3)))
+
+
+class TestStopgradient:
     def test_straight_through_identity(self):
         # x + sg(q - x) passes q forward but x's gradient through
         t = ad.parameter(np.array([0.3, 0.7]))
@@ -182,7 +201,7 @@ class TestBackward:
         ad.backward(out)
         np.testing.assert_allclose(t.grad, 5.0)
 
-    @pytest.mark.parametrize("op", ["exp", "tanh", "sigmoid", "log_softmax"])
+    @pytest.mark.parametrize("op", ["exp", "tanh", "sigmoid", "log_softmax", "dense"])
     def test_graph_freed_without_cycle_collector(self, op):
         # a graph must hold no reference cycle, so dropping its tensors frees
         # it at once instead of at the next cyclic collection
@@ -190,7 +209,10 @@ class TestBackward:
         gc.disable()
         try:
             param = ad.parameter(np.random.default_rng(0).normal(size=(4, 3)))
-            out = getattr(ad, op)(param)
+            if op == "dense":
+                out = ad.dense(param, ad.parameter(np.ones((3, 2))), ad.parameter(np.zeros(2)), "relu")
+            else:
+                out = getattr(ad, op)(param)
             loss = ad.mean(out)
             ad.backward(loss)
             ref = weakref.ref(out.data)
@@ -215,6 +237,72 @@ class TestAdam:
         p = ad.parameter(np.ones(3))
         with pytest.raises(DimensionMismatchError):
             ad.adam_step([p], ad.AdamState(), grads=[np.ones(2)])
+
+    @staticmethod
+    def _reference_step(values, grads, m, v, t, lr):
+        """Adam on each parameter separately, as the optimizer stood before
+        its moments and parameters became one flat buffer."""
+        for p, g, mi, vi in zip(values, grads, m, v):
+            mi *= 0.9
+            mi += (1 - 0.9) * g
+            vi *= 0.999
+            vi += (1 - 0.999) * g * g
+            mhat = mi / (1 - 0.9**t)
+            vhat = vi / (1 - 0.999**t)
+            p -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+
+    @staticmethod
+    def _grads(values, step):
+        return [np.sin(3.0 * p + step) + 0.1 * p for p in values]
+
+    def test_flat_buffer_equals_per_parameter_adam(self):
+        rng = np.random.default_rng(11)
+        shapes = [(3, 4), (4,), (2, 3, 2), (1,)]
+        params = [ad.parameter(rng.normal(size=s)) for s in shapes]
+        ref = [p.data.copy() for p in params]
+        m, v = [np.zeros(s) for s in shapes], [np.zeros(s) for s in shapes]
+        st = ad.AdamState(lr=0.05)
+        for step in range(1, 51):
+            if step == 30:
+                # an assigned .data leaves the buffer; the next step adopts it
+                params[2].data = params[2].data + 0.5
+                ref[2] = ref[2] + 0.5
+            for p, g in zip(params, self._grads(ref, step)):
+                p.grad = g
+            self._reference_step(ref, self._grads(ref, step), m, v, step, 0.05)
+            ad.adam_step(params, st)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p.data, r)
+        assert all(p.data.base is st.flat for p in params)
+
+    def test_row_drop_replaces_parameter(self):
+        # the exact solver drops finished rows from its one parameter and
+        # from the flat moments, then steps a new parameter
+        rng = np.random.default_rng(12)
+        param = ad.parameter(rng.normal(size=(5, 3, 3)))
+        ref = param.data.copy()
+        m, v = np.zeros_like(ref), np.zeros_like(ref)
+        st = ad.AdamState(lr=0.05)
+        for step in range(1, 51):
+            if step in (20, 35):
+                keep = np.arange(len(ref)) != 1
+                ref, m, v = ref[keep], m[keep], v[keep]
+                st.m, st.v = (a.reshape(param.data.shape)[keep].ravel() for a in (st.m, st.v))
+                old, old_values = param, param.data.copy()
+                param = ad.parameter(param.data[keep])
+            (g,) = self._grads([ref], step)
+            self._reference_step([ref], [g], [m], [v], step, 0.05)
+            ad.adam_step([param], st, grads=[g])
+            assert np.array_equal(param.data, ref)
+            if step >= 20:
+                assert np.array_equal(old.data, old_values)  # the replaced one stays put
+
+    def test_moments_must_match_parameters(self):
+        p = ad.parameter(np.ones(3))
+        st = ad.AdamState()
+        ad.adam_step([p], st, grads=[np.ones(3)])
+        with pytest.raises(DimensionMismatchError):
+            ad.adam_step([ad.parameter(np.ones(2))], st, grads=[np.ones(2)])
 
     def test_converges_on_quadratic(self):
         p = ad.parameter(np.array([5.0, -3.0]))

@@ -143,6 +143,24 @@ class TestCommands:
         assert f"config key {key!r} {message}" in err and "Traceback" not in err
         assert not (tmp_path / "model.npz").exists()
 
+    def test_misspelled_key_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SYNTH_CFG.replace("epochs=2", "epoch=1"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key 'epoch'; did you mean 'epochs'?" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
+    def test_known_keys_are_the_keys_read(self):
+        # every key a command reads is known, and every known key is read
+        import re
+        from pathlib import Path
+
+        from ldpfair import cli
+
+        source = Path(cli.__file__).read_text()
+        read = set(re.findall(r'_get\w*\(\s*\w+,\s*"(\w+)"', source))
+        assert read == cli.KNOWN_KEYS
+
     def test_fetch_data_synthetic_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, SYNTH_CFG)
         assert main(["fetch-data", "--config", str(cfg), "--out", str(tmp_path)]) == 0

@@ -38,15 +38,14 @@ def toy_dataset(n_train=600, n_test=400, card_x=4, sigma=0.4, seed=0):
 class TestQuantize:
     def test_nearest_assignment(self):
         codebook = np.array([[0.0, 0.0], [1.0, 1.0]])
-        idx, emb, cb_sse, cm_sse = quantize(np.array([[0.1, 0.2], [0.9, 0.8]]), codebook)
+        idx, emb, sse = quantize(np.array([[0.1, 0.2], [0.9, 0.8]]), codebook)
         np.testing.assert_array_equal(idx, [0, 1])
         np.testing.assert_array_equal(emb, codebook)
-        assert cb_sse == pytest.approx(0.1**2 + 0.2**2 + 0.1**2 + 0.2**2)
-        assert cm_sse == pytest.approx(cb_sse)
+        assert sse == pytest.approx(0.1**2 + 0.2**2 + 0.1**2 + 0.2**2)
 
     def test_tie_breaks_to_lowest_index(self):
         codebook = np.array([[1.0], [-1.0]])
-        idx, _, _, _ = quantize(np.array([[0.0]]), codebook)
+        idx, _, _ = quantize(np.array([[0.0]]), codebook)
         assert idx[0] == 0
 
     def test_dim_mismatch(self):
@@ -54,7 +53,7 @@ class TestQuantize:
             quantize(np.zeros((2, 3)), np.zeros((4, 2)))
 
     def test_batch_shape_preserved(self):
-        idx, emb, _, _ = quantize(np.zeros((5, 3, 2)), np.array([[0.0, 0.0], [1.0, 1.0]]))
+        idx, emb, _ = quantize(np.zeros((5, 3, 2)), np.array([[0.0, 0.0], [1.0, 1.0]]))
         assert idx.shape == (5, 3)
         assert emb.shape == (5, 3, 2)
 
@@ -128,8 +127,8 @@ class TestMcLoss:
                     if p == 0:
                         continue
                     f = model.encoder_features(feats_by_x[x])[0]  # (1, code_dim)
-                    idx, emb, cb_sse, cm_sse = quantize(f, model.codebook.data)
-                    cell = cb_sse + cfg.commitment_weight * cm_sse
+                    idx, _, sse = quantize(f, model.codebook.data)
+                    cell = sse + cfg.commitment_weight * sse
                     for z in range(2):
                         z_emb = model.codebook.data[z].reshape(1, -1)
                         nll = -model.side_log_likelihood(z_emb, [s], feats_by_x[x][None])[0]

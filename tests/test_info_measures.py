@@ -169,13 +169,11 @@ class TestMine:
         ad.backward(ad.tsum(ad.mul(net(ad.Tensor(x)), ad.Tensor(upstream))))
         taped = [p.grad for p in net.parameters()]
 
-        acts = [im._ACTIVATIONS[a] for a in spec.activations]
-        pre_act = [np.empty((40, w)) for w in spec.widths[1:]]
         outs = [np.empty((40, w)) for w in spec.widths[1:]]
         grad_in = [np.empty((40, w)) for w in spec.widths[1:-1]]
-        hs = im._forward(net, acts, x, pre_act, outs)
+        hs = im._forward(net, x, outs)
         assert np.array_equal(hs[-1], net(ad.Tensor(x)).data)
-        grads = im._backward(net, acts, hs, pre_act, upstream.copy(), grad_in)
+        grads = im._backward(net, hs, upstream.copy(), grad_in)
         assert len(grads) == len(taped)
         assert all(np.array_equal(g, t) for g, t in zip(grads, taped))
 

@@ -30,12 +30,13 @@ the next step copy the current values into a new buffer.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DatasetError, DimensionMismatchError, PreconditionError
 
 CHECKPOINT_VERSION = 1
 
@@ -57,39 +58,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def parameter(data, rng=None) -> Tensor:
+def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
@@ -189,19 +159,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _accum(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    out._backward_fn = bw if out.requires_grad else None
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data, parents=(a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     out._backward_fn = bw if out.requires_grad else None
     return out
@@ -573,11 +530,19 @@ def save_checkpoint(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    with np.load(path) as f:
-        meta = json.loads(bytes(f["__meta__"]).decode())
-        if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise PreconditionError(
-                f"unsupported checkpoint version {meta.get('checkpoint_version')!r}"
-            )
-        arrays = {k: f[k] for k in f.files if k != "__meta__"}
+    """(meta, arrays) of a `save_checkpoint` file; DatasetError if the file
+    is not a readable checkpoint archive."""
+    try:
+        f = np.load(path)
+        if not isinstance(f, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError("an array file, not an archive")
+        with f:
+            meta = json.loads(bytes(f["__meta__"]).decode())
+            arrays = {k: f[k] for k in f.files if k != "__meta__"}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise DatasetError(f"{path} is not a checkpoint: {exc}") from None
+    if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
+        raise PreconditionError(
+            f"unsupported checkpoint version {meta.get('checkpoint_version')!r}"
+        )
     return meta, arrays

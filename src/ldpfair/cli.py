@@ -2,10 +2,12 @@
 
 Commands: fetch-data, verify, solve, frontier, train, evaluate, sweep,
 report.  Configuration is plain key=value text (diff-friendly experiment
-records) with an explicit grid syntax, e.g. ``beta=logspace(-3,3,7)`` or
-``epsilon=0.5,5,1000``.  Every artifact embeds the config hash so a
-result file can always be traced to the exact configuration that
-produced it.
+records).  `KEYS` gives every key's type and whether it takes a grid,
+e.g. ``beta=logspace(-3,3,7)`` or ``epsilon=0.5,5,1000``; `main` checks
+the config against it before any work.  A command that uses one value of
+a grid key exits 2 on a grid; verify uses the first beta.  Every artifact
+embeds the hash of the parsed config, so a result file can always be
+traced to the exact configuration that produced it.
 
 Exit codes: 0 success, 2 config error, 3 check failure, 4 runtime/data
 error.
@@ -28,13 +30,7 @@ import numpy as np
 
 from . import datasets, fair_encoder, fairness_metrics, ib_solver
 from .discrete_source import load_source, random_source
-from .errors import (
-    ConfigError,
-    DatasetError,
-    DivergenceError,
-    LdpFairError,
-    PreconditionError,
-)
+from .errors import ConfigError, DatasetError, LdpFairError, PreconditionError
 from .ib_solver import SolverConfig, check_theorem1, solve_g, trace_frontier
 from .ldp_mechanisms import (
     check_lemma1,
@@ -49,15 +45,31 @@ SWEEP_COLUMNS = [
     "beta", "epsilon", "mode", "accuracy", "delta_dp", "delta_eo",
     "leakage_nats", "sensitive_acc", "seed",
 ]
+REPORT_METRICS = ("accuracy", "delta_dp", "delta_eo", "leakage_nats", "sensitive_acc")
 
-# every key some command reads; any other key is a misspelling
-KNOWN_KEYS = frozenset({
-    "D", "L", "adult_url", "batch", "beta", "cache_dir", "card_s", "card_u", "card_x",
-    "check_budget_equals_floor", "compas_csv", "d", "data_seed", "dataset", "epochs",
-    "epsilon", "feat_dim", "gamma", "iterations", "k", "lr", "mechanism", "model",
-    "n_test", "n_train", "oracle_budget", "restarts", "seeds", "sigma", "solve_epsilon",
-    "solver_lr", "source", "source_seed", "sweep", "t", "verify_sources", "zhat_card",
-})
+# key -> (cast, takes a grid).  Every key some command reads; any other key
+# is a misspelling.  Grid keys read as a list even when given one value.
+ONE, GRID = False, True
+KEYS: dict[str, tuple[type, bool]] = {
+    # data
+    "dataset": (str, ONE), "adult_url": (str, ONE), "cache_dir": (str, ONE),
+    "compas_csv": (str, ONE), "card_x": (int, ONE), "feat_dim": (int, ONE),
+    "source_seed": (int, ONE), "data_seed": (int, ONE), "sigma": (float, ONE),
+    "n_train": (int, ONE), "n_test": (int, ONE),
+    # exact layer: source, solver and checks
+    "source": (str, ONE), "card_u": (int, ONE), "card_s": (int, ONE),
+    "zhat_card": (int, ONE), "restarts": (int, ONE), "iterations": (int, ONE),
+    "solver_lr": (float, ONE), "solve_epsilon": (float, ONE), "gamma": (float, ONE),
+    "oracle_budget": (int, ONE), "verify_sources": (int, ONE),
+    "check_budget_equals_floor": (bool, ONE),
+    # mechanism and training
+    "epsilon": (float, GRID), "beta": (float, GRID), "mechanism": (str, GRID),
+    "t": (float, ONE), "d": (int, ONE), "k": (int, ONE), "D": (int, ONE),
+    "L": (int, ONE), "epochs": (int, ONE), "batch": (int, ONE), "lr": (float, ONE),
+    # evaluation and reports
+    "model": (str, ONE), "seeds": (int, GRID), "sweep": (str, GRID),
+}
+_BOOLS = {"true": True, "false": False, "1": True, "0": False}
 
 _GRID_RE = re.compile(r"^logspace\(\s*(-?[\d.]+)\s*,\s*(-?[\d.]+)\s*,\s*(\d+)\s*\)$")
 
@@ -78,19 +90,13 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def check_keys(cfg: dict) -> None:
-    """Reject a key no command reads, suggesting the nearest known one."""
-    for key in cfg:
-        if key not in KNOWN_KEYS:
-            near = difflib.get_close_matches(key, KNOWN_KEYS, n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
-            raise ConfigError(f"unknown config key {key!r}{hint}")
-
-
 def _parse_value(value: str):
     m = _GRID_RE.match(value)
     if m:
-        lo, hi, n = float(m.group(1)), float(m.group(2)), int(m.group(3))
+        try:
+            lo, hi, n = float(m.group(1)), float(m.group(2)), int(m.group(3))
+        except ValueError:  # a bound such as "." or "1..2"
+            raise ConfigError(f"logspace grid bounds must be numbers: {value!r}") from None
         if n < 1:
             raise ConfigError(f"logspace grid needs >= 1 points: {value!r}")
         return [float(v) for v in np.logspace(lo, hi, n)]
@@ -120,35 +126,40 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, list) else [value]
+def check_config(cfg: dict) -> dict:
+    """A typed copy of a parsed config, checked against `KEYS`.
+
+    Raises ConfigError on an unknown key (naming the nearest known one), a
+    value that does not cast, a fractional int, a bad bool, or a grid on a
+    one-value key.  A grid key maps to a non-empty list.
+    """
+    typed = {}
+    for key, value in cfg.items():
+        if key not in KEYS:
+            near = difflib.get_close_matches(key, KEYS, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config key {key!r}{hint}")
+        cast, grid = KEYS[key]
+        if grid:
+            values = value if isinstance(value, list) else [value]
+            if not values:
+                raise ConfigError(f"config key {key!r} has an empty grid")
+            typed[key] = [_cast(key, v, cast) for v in values]
+        elif isinstance(value, list):
+            raise ConfigError(f"config key {key!r} takes one value, got the grid {value!r}")
+        else:
+            typed[key] = _cast(key, value, cast)
+    return typed
 
 
-def _get(cfg: dict, key: str, default=None, required: bool = False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"config key {key!r} is required")
-    return default
-
-
-_BOOLS = {"true": True, "false": False, "1": True, "0": False}
-
-
-def _get_bool(cfg: dict, key: str, default: bool) -> bool:
-    """A flag given as true, false, 1 or 0; anything else is a ConfigError."""
-    value = _get(cfg, key, default)
-    flag = _BOOLS.get(str(value).lower())
-    if flag is None:
-        raise ConfigError(f"config key {key!r} must be true, false, 1 or 0, got {value!r}")
-    return flag
-
-
-def _number(key: str, value, cast):
-    """One config value as int or float; a grid, a non-number or a
-    fractional int is a ConfigError."""
-    if isinstance(value, list):
-        raise ConfigError(f"config key {key!r} takes one value, got the grid {value!r}")
+def _cast(key: str, value, cast):
+    if cast is str:
+        return str(value)
+    if cast is bool:
+        flag = _BOOLS.get(str(value).lower())
+        if flag is None:
+            raise ConfigError(f"config key {key!r} must be true, false, 1 or 0, got {value!r}")
+        return flag
     try:
         number = cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -158,21 +169,23 @@ def _number(key: str, value, cast):
     return number
 
 
-def _get_int(cfg: dict, key: str, default=None):
-    return _number(key, cfg[key], int) if key in cfg else default
+def _required(cfg: dict, key: str):
+    if key not in cfg:
+        raise ConfigError(f"config key {key!r} is required")
+    return cfg[key]
 
 
-def _get_float(cfg: dict, key: str, default=None):
-    return _number(key, cfg[key], float) if key in cfg else default
-
-
-def _get_numbers(cfg: dict, key: str, cast, default=None, required: bool = False) -> list:
-    """A scalar or a grid, as a list of numbers."""
-    return [_number(key, v, cast) for v in _as_list(_get(cfg, key, default, required))]
+def _one(cfg: dict, key: str, default=None):
+    """The value of a grid key where the command takes one; no default
+    means the key is required."""
+    values = _required(cfg, key) if default is None else cfg.get(key, [default])
+    if len(values) > 1:
+        raise ConfigError(f"config key {key!r} takes one value, got the grid {values!r}")
+    return values[0]
 
 
 def _cache_dir(cfg: dict, out: Path) -> Path:
-    return Path(os.environ.get(CACHE_ENV) or _get(cfg, "cache_dir", out / "cache"))
+    return Path(os.environ.get(CACHE_ENV) or cfg.get("cache_dir", out / "cache"))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], chash: str) -> None:
@@ -186,68 +199,67 @@ def _write_csv(path: Path, header: list[str], rows: list[list], chash: str) -> N
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as f:
         lines = [ln for ln in f if not ln.startswith("#")]
-    rows = list(csv.reader(lines))
-    return rows[0], rows[1:]
+    header, *rows = list(csv.reader(lines)) or [[]]
+    return header, rows
 
 
 def _load_config_source(cfg: dict):
-    path = _get(cfg, "source")
+    path = cfg.get("source")
     if path:
         return load_source(path)
     return random_source(
-        _get_int(cfg, "card_u", 2), _get_int(cfg, "card_s", 2),
-        _get_int(cfg, "card_x", 3), seed=_get_int(cfg, "source_seed", 0),
+        cfg.get("card_u", 2), cfg.get("card_s", 2),
+        cfg.get("card_x", 3), seed=cfg.get("source_seed", 0),
     )
 
 
 def _solver_config(cfg: dict, beta: float, seed: int) -> SolverConfig:
     return SolverConfig(
         beta=beta,
-        restarts=_get_int(cfg, "restarts", 4),
-        iterations=_get_int(cfg, "iterations", 1500),
-        learning_rate=_get_float(cfg, "solver_lr", 0.05),
-        zhat_card=_get_int(cfg, "zhat_card"),
+        restarts=cfg.get("restarts", 4),
+        iterations=cfg.get("iterations", 1500),
+        learning_rate=cfg.get("solver_lr", 0.05),
+        zhat_card=cfg.get("zhat_card"),
         seed=seed,
     )
 
 
 def _solver_mechanism(cfg: dict, src, epsilon: float) -> RandomizedResponse:
-    k = _get_int(cfg, "zhat_card", src.card_x)
-    return RandomizedResponse(epsilon=epsilon, k=k, d=1)
+    return RandomizedResponse(epsilon=epsilon, k=cfg.get("zhat_card", src.card_x), d=1)
 
 
 def _load_dataset_pair(cfg: dict, out: Path):
-    name = str(_get(cfg, "dataset", required=True))
+    name = _required(cfg, "dataset")
     if name == "adult":
         train_raw, test_raw = datasets.fetch_uci_adult(
-            _cache_dir(cfg, out), url_override=_get(cfg, "adult_url")
+            _cache_dir(cfg, out), url_override=cfg.get("adult_url")
         )
         return datasets.preprocess_adult(train_raw, test_raw)
     if name == "compas":
-        return datasets.load_compas(_get(cfg, "compas_csv", required=True))
+        return datasets.load_compas(_required(cfg, "compas_csv"))
     if name == "synthetic":
-        card_x = _get_int(cfg, "card_x", 4)
-        feat_dim = _get_int(cfg, "feat_dim", card_x)
-        src = random_source(2, 2, card_x, seed=_get_int(cfg, "source_seed", 0))
+        card_x = cfg.get("card_x", 4)
+        feat_dim = cfg.get("feat_dim", card_x)
+        src = random_source(2, 2, card_x, seed=cfg.get("source_seed", 0))
         means = 2.0 * np.eye(card_x, feat_dim)
         spec = datasets.SyntheticSpec(
-            source=src, means=means, sigma=_get_float(cfg, "sigma", 0.5),
-            n_train=_get_int(cfg, "n_train", 4000),
-            n_test=_get_int(cfg, "n_test", 2000),
-            seed=_get_int(cfg, "data_seed", 0),
+            source=src, means=means, sigma=cfg.get("sigma", 0.5),
+            n_train=cfg.get("n_train", 4000),
+            n_test=cfg.get("n_test", 2000),
+            seed=cfg.get("data_seed", 0),
         )
         return datasets.generate_synthetic(spec)
     raise ConfigError(f"unknown dataset {name!r}; use adult, compas, or synthetic")
 
 
-def _mechanism(cfg: dict, epsilon: float):
+def _mechanism(cfg: dict, kind: str, epsilon: float):
     return mechanism_from_spec(
         {
-            "kind": _get(cfg, "mechanism", "laplace"),
+            "kind": kind,
             "epsilon": epsilon,
-            "t": _get_float(cfg, "t", 0.5),
-            "d": _get_int(cfg, "d", 2),
-            "k": _get_int(cfg, "k", 4),
+            "t": cfg.get("t", 0.5),
+            "d": cfg.get("d", 2),
+            "k": cfg.get("k", 4),
         }
     )
 
@@ -255,10 +267,10 @@ def _mechanism(cfg: dict, epsilon: float):
 def _train_config(cfg: dict, beta: float, seed: int) -> fair_encoder.TrainConfig:
     return fair_encoder.TrainConfig(
         beta=beta,
-        epochs=_get_int(cfg, "epochs", 150),
-        batch_size=_get_int(cfg, "batch", 512),
-        learning_rate=_get_float(cfg, "lr", 1e-3),
-        mc_samples=_get_int(cfg, "L", 1),
+        epochs=cfg.get("epochs", 150),
+        batch_size=cfg.get("batch", 512),
+        learning_rate=cfg.get("lr", 1e-3),
+        mc_samples=cfg.get("L", 1),
         seed=seed,
     )
 
@@ -266,9 +278,8 @@ def _train_config(cfg: dict, beta: float, seed: int) -> fair_encoder.TrainConfig
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_fetch_data(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_fetch_data(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     train, test = _load_dataset_pair(cfg, out)
-    chash = config_hash(cfg)
     datasets.save_dataset(train, out / "train.npz")
     datasets.save_dataset(test, out / "test.npz")
     (out / "fetch.json").write_text(
@@ -288,11 +299,12 @@ def cmd_fetch_data(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
-    """Run every theory check; exit 0 iff all pass."""
+def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
+    """Run every theory check; exit 0 iff all pass.  The lemmas are checked
+    at every epsilon, the bound chain at solve_epsilon and the first beta."""
     checks: dict[str, dict] = {}
-    rng_seeds = [seed + i for i in range(_get_int(cfg, "verify_sources", 3))]
-    check_floor = _get_bool(cfg, "check_budget_equals_floor", False)
+    rng_seeds = [seed + i for i in range(cfg.get("verify_sources", 3))]
+    check_floor = cfg.get("check_budget_equals_floor", False)
 
     # closure + budget bound over random encoders and RR channels
     worst_ratio, worst_mi = 0.0, 0.0
@@ -300,7 +312,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     from .discrete_source import compose, induced_joint, random_channel
     from .info_measures import mutual_information
 
-    for eps in _get_numbers(cfg, "epsilon", float, [0.5, 1.0, 2.0]):
+    for eps in cfg.get("epsilon", [0.5, 1.0, 2.0]):
         mech_ch = rr_channel(RandomizedResponse(epsilon=eps, k=3, d=1))
         for s in rng_seeds:
             src = random_source(2, 2, 3, seed=s)
@@ -316,8 +328,8 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
 
     # bound chain at a solved operating point, plus the zero-budget case
     src = _load_config_source(cfg)
-    eps = _get_float(cfg, "solve_epsilon", 1.0)
-    beta = _get_numbers(cfg, "beta", float, 10.0)[0]
+    eps = cfg.get("solve_epsilon", 1.0)
+    beta = cfg.get("beta", [10.0])[0]
     pt = solve_g(src, _solver_mechanism(cfg, src, eps), _solver_config(cfg, beta, seed))
     ok, report = check_theorem1(pt, gamma=pt.Gamma)
     checks["theorem1_bounds"] = {"pass": ok, **report}
@@ -331,14 +343,14 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     if check_floor:
         try:
             checks["budget_equals_floor"] = ib_solver.check_corollary2(
-                src, gamma=_get_float(cfg, "gamma", 0.05),
-                budget=_get_int(cfg, "oracle_budget", 100_000), cfg=_solver_config(cfg, beta, seed),
+                src, gamma=cfg.get("gamma", 0.05),
+                budget=cfg.get("oracle_budget", 100_000), cfg=_solver_config(cfg, beta, seed),
             )
         except LdpFairError as exc:
             checks["budget_equals_floor"] = {"pass": False, "error": str(exc)}
 
     all_ok = bool(all(c["pass"] for c in checks.values()))
-    payload = {"config_hash": config_hash(cfg), "pass": all_ok, "checks": checks}
+    payload = {"config_hash": chash, "pass": all_ok, "checks": checks}
     (out / "verify.json").write_text(_dump_json(payload))
     for name, c in checks.items():
         print(f"{'PASS' if c['pass'] else 'FAIL'} {name}")
@@ -349,13 +361,13 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     return 0
 
 
-def cmd_solve(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_solve(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     src = _load_config_source(cfg)
-    eps = _get_numbers(cfg, "epsilon", float, required=True)[0]
-    beta = _get_numbers(cfg, "beta", float, 1.0)[0]
+    eps = _one(cfg, "epsilon")
+    beta = _one(cfg, "beta", 1.0)
     pt = solve_g(src, _solver_mechanism(cfg, src, eps), _solver_config(cfg, beta, seed))
     payload = {
-        "config_hash": config_hash(cfg),
+        "config_hash": chash,
         "beta": pt.beta, "epsilon": pt.epsilon, "Gamma": pt.Gamma, "Omega": pt.Omega,
         "nu": pt.nu, "ixz": pt.ixz, "objective": pt.objective, "converged": pt.converged,
     }
@@ -367,10 +379,10 @@ def cmd_solve(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     return 0
 
 
-def cmd_frontier(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_frontier(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     src = _load_config_source(cfg)
-    eps = _get_numbers(cfg, "epsilon", float, required=True)[0]
-    betas = _get_numbers(cfg, "beta", float, required=True)
+    eps = _one(cfg, "epsilon")
+    betas = _required(cfg, "beta")
     points = trace_frontier(src, _solver_mechanism(cfg, src, eps), betas, _solver_config(cfg, betas[0], seed))
     rows = [
         [p.beta, p.epsilon, p.gamma_target, p.Gamma, p.Omega, p.nu, p.ixz, p.converged]
@@ -379,20 +391,19 @@ def cmd_frontier(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     _write_csv(
         out / "frontier.csv",
         ["beta", "epsilon", "gamma", "Gamma", "Omega", "nu", "ixz", "converged"],
-        rows, config_hash(cfg),
+        rows, chash,
     )
     print(f"wrote {out / 'frontier.csv'} ({len(points)} points)")
     return 0
 
 
-def cmd_train(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_train(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     train_ds, _ = _load_dataset_pair(cfg, out)
-    eps = _get_numbers(cfg, "epsilon", float, required=True)[0]
-    mech = _mechanism(cfg, eps)
+    mech = _mechanism(cfg, _one(cfg, "mechanism", "laplace"), _one(cfg, "epsilon"))
     model = fair_encoder.EncoderModel(
-        train_ds.schema, mech, seed=seed, code_dim=_get_int(cfg, "D", 8)
+        train_ds.schema, mech, seed=seed, code_dim=cfg.get("D", 8)
     )
-    tc = _train_config(cfg, _get_float(cfg, "beta", 1.0), seed)
+    tc = _train_config(cfg, _one(cfg, "beta", 1.0), seed)
     history = fair_encoder.train(model, train_ds, tc)
     fair_encoder.save_model(model, out / "model.npz")
     _write_csv(
@@ -402,21 +413,21 @@ def cmd_train(cfg: dict, out: Path, seed: int, jobs: int) -> int:
             [i, bd.total, bd.reconstruction, bd.utility, bd.codebook, bd.commitment]
             for i, bd in enumerate(history)
         ],
-        config_hash(cfg),
+        chash,
     )
     print(f"trained {tc.epochs} epochs; final loss {history[-1].total:.4f}")
     return 0
 
 
-def cmd_evaluate(cfg: dict, out: Path, seed: int, jobs: int) -> int:
-    ckpt = Path(_get(cfg, "model", out / "model.npz"))
+def cmd_evaluate(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
+    ckpt = Path(cfg.get("model", out / "model.npz"))
     if not ckpt.exists():
         raise DatasetError(f"no checkpoint at {ckpt}; run the train command first")
     model = fair_encoder.load_model(ckpt)
     _, test_ds = _load_dataset_pair(cfg, out)
-    seeds = _get_numbers(cfg, "seeds", int, [seed])
+    seeds = cfg.get("seeds", [seed])
     report = fairness_metrics.full_report(model, test_ds, seeds)
-    report.to_json(out / "report.json", extra={"config_hash": config_hash(cfg)})
+    report.to_json(out / "report.json", extra={"config_hash": chash})
     print(
         f"accuracy {report.accuracy_mean:.4f} ddp {report.delta_dp_mean:.4f} "
         f"leakage {report.leakage_mean:.4f} nats"
@@ -428,16 +439,14 @@ def _sweep_cell(args):
     """One (beta, epsilon, mode) training + evaluation; returns result rows."""
     cfg, out_str, beta, eps, mode, seed = args
     out = Path(out_str)
-    cell_cfg = dict(cfg)
-    cell_cfg["mechanism"] = mode
     try:
-        train_ds, test_ds = _load_dataset_pair(cell_cfg, out)
-        mech = _mechanism(cell_cfg, eps)
+        train_ds, test_ds = _load_dataset_pair(cfg, out)
+        mech = _mechanism(cfg, mode, eps)
         model = fair_encoder.EncoderModel(
-            train_ds.schema, mech, seed=seed, code_dim=_get_int(cell_cfg, "D", 8)
+            train_ds.schema, mech, seed=seed, code_dim=cfg.get("D", 8)
         )
-        fair_encoder.train(model, train_ds, _train_config(cell_cfg, beta, seed))
-        seeds = _get_numbers(cell_cfg, "seeds", int, [seed])
+        fair_encoder.train(model, train_ds, _train_config(cfg, beta, seed))
+        seeds = cfg.get("seeds", [seed])
         rep = fairness_metrics.full_report(model, test_ds, seeds)
         return [
             [beta, eps, mode, rep.per_seed["accuracy"][i], rep.per_seed["delta_dp"][i],
@@ -449,13 +458,11 @@ def _sweep_cell(args):
         return [], f"beta={beta} epsilon={eps} mode={mode}: {exc}"
 
 
-def cmd_sweep(cfg: dict, out: Path, seed: int, jobs: int) -> int:
-    betas = _get_numbers(cfg, "beta", float, required=True)
-    epsilons = _get_numbers(cfg, "epsilon", float, required=True)
-    modes = [str(m) for m in _as_list(_get(cfg, "mechanism", "laplace"))]
+def cmd_sweep(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
+    betas, epsilons = _required(cfg, "beta"), _required(cfg, "epsilon")
+    modes = cfg.get("mechanism", ["laplace"])
     cells = [(cfg, str(out), b, e, m, seed) for b in betas for e in epsilons for m in modes]
 
-    results = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sweep_cell, cells))
@@ -468,7 +475,7 @@ def cmd_sweep(cfg: dict, out: Path, seed: int, jobs: int) -> int:
         if err:
             failures.append(err)
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[8]))  # deterministic merge
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows, config_hash(cfg))
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows, chash)
     if failures:
         (out / "sweep_failures.txt").write_text("\n".join(failures) + "\n")
         print(f"{len(failures)} cells failed; see {out / 'sweep_failures.txt'}", file=sys.stderr)
@@ -476,20 +483,26 @@ def cmd_sweep(cfg: dict, out: Path, seed: int, jobs: int) -> int:
     return 0
 
 
-def cmd_report(cfg: dict, out: Path, seed: int, jobs: int) -> int:
+def cmd_report(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     """Merge sweep CSVs into per-(beta, epsilon, mode) accuracy vs fairness tables."""
-    paths = [Path(p) for p in _as_list(_get(cfg, "sweep", out / "sweep.csv"))]
+    paths = [Path(p) for p in cfg.get("sweep", [out / "sweep.csv"])]
     groups: dict[tuple, dict[str, list[float]]] = {}
     for path in paths:
         if not path.exists():
             raise DatasetError(f"sweep file not found: {path}")
         header, rows = _read_csv(path)
+        missing = [c for c in ("beta", "epsilon", "mode", *REPORT_METRICS) if c not in header]
+        if missing:
+            raise DatasetError(f"{path} is not a sweep CSV: no column {', '.join(missing)}")
         col = {name: i for i, name in enumerate(header)}
-        for r in rows:
-            key = (float(r[col["beta"]]), float(r[col["epsilon"]]), r[col["mode"]])
-            g = groups.setdefault(key, {m: [] for m in ("accuracy", "delta_dp", "delta_eo", "leakage_nats", "sensitive_acc")})
-            for m in g:
-                g[m].append(float(r[col[m]]))
+        try:
+            for r in rows:
+                key = (float(r[col["beta"]]), float(r[col["epsilon"]]), r[col["mode"]])
+                g = groups.setdefault(key, {m: [] for m in REPORT_METRICS})
+                for m in g:
+                    g[m].append(float(r[col[m]]))
+        except (IndexError, ValueError) as exc:
+            raise DatasetError(f"{path}: malformed sweep row: {exc}") from None
     table = []
     for (beta, eps, mode), metrics in sorted(groups.items()):
         entry = {"beta": beta, "epsilon": eps, "mode": mode}
@@ -497,7 +510,7 @@ def cmd_report(cfg: dict, out: Path, seed: int, jobs: int) -> int:
             entry[f"{m}_median"] = float(np.median(vals))
             entry[f"{m}_std"] = float(np.std(vals))
         table.append(entry)
-    payload = {"config_hash": config_hash(cfg), "cells": table}
+    payload = {"config_hash": chash, "cells": table}
     (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out / 'report.json'} ({len(table)} cells)")
     return 0
@@ -528,29 +541,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config.read_text()) if args.config else {}
-        check_keys(cfg)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+        parsed = parse_config(args.config.read_text()) if args.config else {}
+        cfg = check_config(parsed)
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     args.out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](cfg, args.out, args.seed, args.jobs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DatasetError, DivergenceError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 4
-    except PreconditionError as exc:
+        return COMMANDS[args.command](cfg, args.out, args.seed, args.jobs, config_hash(parsed))
+    except (ConfigError, PreconditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LdpFairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"runtime error: {exc}", file=sys.stderr)
         return 4
 
 

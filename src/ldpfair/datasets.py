@@ -184,39 +184,67 @@ def preprocess_adult(raw_train: str | Path, raw_test: str | Path) -> tuple[Tabul
         splits[split] = rows
 
     feature_cols = [c for c in ADULT_COLUMNS if c not in ("sex", "income")]
-    schema: list[ColumnSpec] = []
-    for name in feature_cols:
-        if name in ADULT_NUMERIC:
+    columns = {
+        split: {name: [r[col[name]] for r in rows] for name in feature_cols}
+        for split, rows in splits.items()
+    }
+    # categories come from train; a test-only category maps to all zeros
+    schema, features = _encode_tabular(columns, ADULT_NUMERIC, columns["train"], "adult")
+    out = {}
+    for split, rows in splits.items():
+        u = np.array([1 if r[col["income"]] == ">50K" else 0 for r in rows])
+        s = np.array([1 if r[col["sex"]] == "Female" else 0 for r in rows])
+        out[split] = TabularDataset(features[split], u, s, split, schema)
+    return out["train"], out["test"]
+
+
+def _encode_tabular(
+    columns: dict[str, dict[str, list[str]]],
+    numeric,
+    vocab: dict[str, list[str]],
+    label: str,
+    blank: float | None = None,
+) -> tuple[list[ColumnSpec], dict[str, np.ndarray]]:
+    """Schema and per-split feature matrices from raw text columns.
+
+    columns maps split -> feature name -> raw values, the "train" split
+    first.  A numeric column (name in `numeric`) is z-scored with the train
+    split's mean and standard deviation, for every split; an empty field
+    reads as `blank`, and is an error when blank is None.  A categorical
+    column is one-hot over the sorted distinct values in vocab[name]; a
+    value outside them maps to all zeros.
+    """
+    schema = []
+    for name in columns["train"]:
+        if name in numeric:
             schema.append(ColumnSpec(name, "numeric", 1))
         else:
-            cats = tuple(sorted({r[col[name]] for r in splits["train"]}))
+            cats = tuple(sorted(set(vocab[name])))
             schema.append(ColumnSpec(name, "categorical", len(cats), cats))
-
     stats: dict[str, tuple[float, float]] = {}
-    out = {}
-    for split in ("train", "test"):
-        rows = splits[split]
+    features = {}
+    for split, cols in columns.items():
         blocks = []
         for c in schema:
-            raw = [r[col[c.name]] for r in rows]
+            raw = cols[c.name]
             if c.kind == "numeric":
-                vals = np.array([float(v) for v in raw])
+                try:  # an empty (or, in a short CSV row, None) field is blank
+                    vals = np.array([float(v) if v or blank is None else blank for v in raw])
+                except ValueError as exc:
+                    raise DatasetError(f"{label}: {split} column {c.name!r}: {exc}") from None
                 if split == "train":
                     stats[c.name] = (float(vals.mean()), float(vals.std()))
-                mu, sd = stats[c.name]  # train provenance for both splits
+                mu, sd = stats[c.name]  # train provenance for every split
                 blocks.append(((vals - mu) / (sd if sd > 0 else 1.0))[:, None])
             else:
                 lookup = {cat: i for i, cat in enumerate(c.categories)}
                 onehot = np.zeros((len(raw), c.size))
                 for i, v in enumerate(raw):
-                    if v in lookup:  # test-only categories map to all-zeros
+                    if v in lookup:
                         onehot[i, lookup[v]] = 1.0
                 blocks.append(onehot)
-        features = np.hstack(blocks)
-        u = np.array([1 if r[col["income"]] == ">50K" else 0 for r in rows])
-        s = np.array([1 if r[col["sex"]] == "Female" else 0 for r in rows])
-        out[split] = TabularDataset(features, u, s, split, schema)
-    return out["train"], out["test"]
+        features[split] = np.hstack(blocks)
+    return schema, features
 
 
 # -- compas ------------------------------------------------------------------
@@ -262,14 +290,6 @@ def load_compas(csv_path: str | Path) -> tuple[TabularDataset, TabularDataset]:
             f"compas: {len(rows)} rows after filtering, expected {total}", stacklevel=2
         )
 
-    schema: list[ColumnSpec] = []
-    for name in COMPAS_FEATURES:
-        if name in COMPAS_NUMERIC:
-            schema.append(ColumnSpec(name, "numeric", 1))
-        else:
-            cats = tuple(sorted({r[name] for r in rows}))
-            schema.append(ColumnSpec(name, "categorical", len(cats), cats))
-
     u = np.array([int(r["two_year_recid"]) for r in rows])
     s = np.array([1 if r["race"] == "African-American" else 0 for r in rows])
     p_u1 = u.mean()
@@ -282,26 +302,17 @@ def load_compas(csv_path: str | Path) -> tuple[TabularDataset, TabularDataset]:
     order = rng.permutation(len(rows))
     idx = {"train": order[: min(COMPAS_TRAIN_ROWS, len(rows))], "test": order[min(COMPAS_TRAIN_ROWS, len(rows)):]}
 
-    stats: dict[str, tuple[float, float]] = {}
-    out = {}
-    for split in ("train", "test"):
-        sel = idx[split]
-        blocks = []
-        for c in schema:
-            raw = [rows[i][c.name] for i in sel]
-            if c.kind == "numeric":
-                vals = np.array([float(v or 0.0) for v in raw])
-                if split == "train":
-                    stats[c.name] = (float(vals.mean()), float(vals.std()))
-                mu, sd = stats[c.name]
-                blocks.append(((vals - mu) / (sd if sd > 0 else 1.0))[:, None])
-            else:
-                lookup = {cat: i for i, cat in enumerate(c.categories)}
-                onehot = np.zeros((len(raw), c.size))
-                for i, v in enumerate(raw):
-                    onehot[i, lookup[v]] = 1.0
-                blocks.append(onehot)
-        out[split] = TabularDataset(np.hstack(blocks), u[sel], s[sel], split, schema)
+    columns = {
+        split: {name: [rows[i][name] for i in sel] for name in COMPAS_FEATURES}
+        for split, sel in idx.items()
+    }
+    # categories come from every filtered row; an empty numeric field reads as 0
+    vocab = {name: [r[name] for r in rows] for name in COMPAS_FEATURES}
+    schema, features = _encode_tabular(columns, COMPAS_NUMERIC, vocab, f"compas {path}", blank=0.0)
+    out = {
+        split: TabularDataset(features[split], u[sel], s[sel], split, schema)
+        for split, sel in idx.items()
+    }
     return out["train"], out["test"]
 
 

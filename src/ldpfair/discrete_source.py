@@ -13,7 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDistributionError, PreconditionError
+from .errors import (
+    DatasetError,
+    DimensionMismatchError,
+    InvalidDistributionError,
+    PreconditionError,
+)
 
 # Inputs within this distance of stochastic are renormalized; anything
 # worse is treated as a bug in the caller, not round-trip noise.
@@ -25,8 +30,8 @@ def _validated_probs(probs: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
     if arr.size == 0:
         raise InvalidDistributionError(f"{what}: empty array")
-    if np.any(arr < 0):
-        raise InvalidDistributionError(f"{what}: negative entry {arr.min():g}")
+    if not np.all(arr >= 0):  # also false for NaN
+        raise InvalidDistributionError(f"{what}: negative or NaN entry {arr.min():g}")
     total = arr.sum()
     if total <= 0:
         raise InvalidDistributionError(f"{what}: zero total mass")
@@ -129,8 +134,8 @@ def new_channel(rows: np.ndarray) -> Channel:
         raise DimensionMismatchError(f"expected a matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise InvalidDistributionError("channel: empty matrix")
-    if np.any(arr < 0):
-        raise InvalidDistributionError(f"channel: negative entry {arr.min():g}")
+    if not np.all(arr >= 0):  # also false for NaN
+        raise InvalidDistributionError(f"channel: negative or NaN entry {arr.min():g}")
     sums = arr.sum(axis=1)
     if np.any(sums <= 0):
         raise InvalidDistributionError("channel: a row has zero mass")
@@ -198,17 +203,31 @@ def save_source(src: JointSourceUSX, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_source(path: str | Path) -> JointSourceUSX:
-    tokens = Path(path).read_text().split()
-    if len(tokens) < 3:
+def _load_table(path: str | Path, axes: int) -> np.ndarray:
+    """The body of a source or channel file, shaped by its header of
+    `axes` positive integers."""
+    try:
+        tokens = Path(path).read_text().split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from None
+    if len(tokens) < axes:
         raise InvalidDistributionError(f"{path}: missing header")
-    cu, cs, cx = (int(t) for t in tokens[:3])
-    body = np.array([float(t) for t in tokens[3:]])
-    if body.size != cu * cs * cx:
+    try:
+        shape = tuple(int(t) for t in tokens[:axes])
+        body = np.array([float(t) for t in tokens[axes:]])
+    except ValueError as exc:
+        raise InvalidDistributionError(f"{path}: not a table of numbers: {exc}") from None
+    if min(shape) < 1:
+        raise InvalidDistributionError(f"{path}: header sizes must be >= 1, got {shape}")
+    if body.size != np.prod(shape):
         raise DimensionMismatchError(
-            f"{path}: header promises {cu * cs * cx} entries, found {body.size}"
+            f"{path}: header promises {np.prod(shape)} entries, found {body.size}"
         )
-    return new_joint(body.reshape(cu, cs, cx))
+    return body.reshape(shape)
+
+
+def load_source(path: str | Path) -> JointSourceUSX:
+    return new_joint(_load_table(path, 3))
 
 
 def save_channel(ch: Channel, path: str | Path) -> None:
@@ -218,16 +237,7 @@ def save_channel(ch: Channel, path: str | Path) -> None:
 
 
 def load_channel(path: str | Path) -> Channel:
-    tokens = Path(path).read_text().split()
-    if len(tokens) < 2:
-        raise InvalidDistributionError(f"{path}: missing header")
-    cin, cout = int(tokens[0]), int(tokens[1])
-    body = np.array([float(t) for t in tokens[2:]])
-    if body.size != cin * cout:
-        raise DimensionMismatchError(
-            f"{path}: header promises {cin * cout} entries, found {body.size}"
-        )
-    return new_channel(body.reshape(cin, cout))
+    return new_channel(_load_table(path, 2))
 
 
 def random_source(card_u: int, card_s: int, card_x: int, seed: int) -> JointSourceUSX:

@@ -189,13 +189,11 @@ class EncoderModel:
 
 
 def quantize(features: np.ndarray, codebook: np.ndarray):
-    """Nearest-codebook assignment with sum-of-squares auxiliary terms.
+    """Nearest-codebook assignment.
 
     features: (..., code_dim); codebook: (k, code_dim).  Ties resolve to
-    the lowest index.  Returns (indices, embeddings, sse), the squared
-    distance to the assigned codes summed over all positions: the value of
-    both the codebook and the commitment term, which differ only in their
-    gradients.
+    the lowest index.  Returns (indices, embeddings) with the shapes
+    (...) and (..., code_dim).
     """
     f = np.asarray(features, dtype=np.float64)
     cb = np.asarray(codebook, dtype=np.float64)
@@ -206,9 +204,7 @@ def quantize(features: np.ndarray, codebook: np.ndarray):
     flat = f.reshape(-1, cb.shape[1])
     d2 = (flat * flat).sum(axis=1, keepdims=True) - 2.0 * flat @ cb.T + (cb * cb).sum(axis=1)
     idx = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
-    emb = cb[idx]
-    sse = float(((flat - emb) ** 2).sum())
-    return idx.reshape(f.shape[:-1]), emb.reshape(f.shape), sse
+    return idx.reshape(f.shape[:-1]), cb[idx].reshape(f.shape)
 
 
 def encode(model: EncoderModel, x: np.ndarray, rng: np.random.Generator) -> Embeddings:
@@ -216,7 +212,7 @@ def encode(model: EncoderModel, x: np.ndarray, rng: np.random.Generator) -> Embe
     pre-mechanism value."""
     feats = model.encoder_features(x)
     if model.discrete:
-        idx, _, _ = quantize(feats, model.codebook.data)
+        idx, _ = quantize(feats, model.codebook.data)
         z_idx = rr_randomize(idx, model.mechanism, rng)
         emb = model.codebook.data[z_idx].reshape(z_idx.shape[0], -1)
         return Embeddings(z=emb, indices=z_idx)
@@ -243,7 +239,7 @@ def _loss_graph(model, x, u, s, cfg, rng):
         if model.discrete:
             mech = model.mechanism
             feats = ad.reshape(h, (n * mech.d, model.code_dim))
-            idx, emb, _ = quantize(feats.data, model.codebook.data)
+            idx, emb = quantize(feats.data, model.codebook.data)
             z_idx = rr_randomize(
                 idx.reshape(n, mech.d), mech, rng
             ).reshape(-1)

@@ -1,10 +1,15 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ldpfair import ConfigError
-from ldpfair.cli import config_hash, main, parse_config
+from ldpfair import ConfigError, cli, random_source
+from ldpfair.cli import KEYS, check_config, config_hash, main, parse_config
+from ldpfair.discrete_source import save_source
 
 
 class TestParseConfig:
@@ -35,6 +40,50 @@ class TestParseConfig:
         a = config_hash({"a": 1, "b": [2, 3]})
         b = config_hash({"b": [2, 3], "a": 1})
         assert a == b and len(a) == 16
+
+    def test_check_config_casts_values(self):
+        cfg = check_config(parse_config(
+            "epochs=10\nlr=1\nbeta=2\nepsilon=0.5,5\nseeds=3\nmechanism=rr\n"
+            "dataset=synthetic\ncheck_budget_equals_floor=1\nbatch=256.0\n"
+        ))
+        assert cfg == {
+            "epochs": 10, "lr": 1.0, "beta": [2.0], "epsilon": [0.5, 5.0], "seeds": [3],
+            "mechanism": ["rr"], "dataset": "synthetic", "check_budget_equals_floor": True,
+            "batch": 256,
+        }
+        assert type(cfg["lr"]) is float and type(cfg["batch"]) is int
+
+
+KEY_NAMES = st.sampled_from(sorted(KEYS) + ["epoch", "x y", ""])
+VALUES = st.one_of(
+    st.sampled_from([
+        "1", "-3", "2.5", "1e400", "nan", "inf", "true", "FALSE", "maybe", "", ",", "1,2",
+        "a,b", "1,,2", "logspace(-1,1,3)", "logspace(.,1,2)", "logspace(0,1,0)", "1_0",
+    ]),
+    st.integers().map(str),
+    st.floats().map(str),
+    st.text(max_size=12),
+)
+CONFIG_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.lists(
+        st.one_of(st.builds("{}={}".format, KEY_NAMES, VALUES), st.text(max_size=20)), max_size=8
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONFIG_TEXT)
+def test_config_text_gives_typed_config_or_config_error(text):
+    # no command runs: this is the check main makes before any work
+    try:
+        cfg = check_config(parse_config(text))
+    except ConfigError:
+        return
+    for key, value in cfg.items():
+        cast, grid = KEYS[key]
+        values = value if grid else [value]
+        assert values and all(type(v) is cast for v in values), (key, value)
 
 
 SYNTH_CFG = """
@@ -151,15 +200,81 @@ class TestCommands:
         assert not (tmp_path / "out").exists()  # rejected before any work
 
     def test_known_keys_are_the_keys_read(self):
-        # every key a command reads is known, and every known key is read
-        import re
-        from pathlib import Path
-
-        from ldpfair import cli
-
+        # every key a command reads is in KEYS, and every key in KEYS is read
         source = Path(cli.__file__).read_text()
-        read = set(re.findall(r'_get\w*\(\s*\w+,\s*"(\w+)"', source))
-        assert read == cli.KNOWN_KEYS
+        read = set(re.findall(r'(?:cfg\.get|_one|_required)\(\s*(?:cfg,\s*)?"(\w+)"', source))
+        assert read == set(KEYS)
+
+    def test_verify_on_exact_frontier_config(self, tmp_path):
+        # an epsilon grid for the lemma checks, a beta grid (verify solves at
+        # the first beta) and solve_epsilon, as the exact-frontier benchmark runs it
+        src = tmp_path / "source.txt"
+        save_source(random_source(2, 2, 3, seed=5), src)
+        cfg = write_cfg(
+            tmp_path,
+            f"source={src}\nepsilon=1.0,3.0\nsolve_epsilon=3.0\n"
+            "beta=0.1,1.0,10.0,100.0\nrestarts=2\niterations=400\n",
+        )
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "verify.json").read_text())["pass"] is True
+
+    def test_train_then_evaluate_on_one_config(self, tmp_path):
+        # the neural benchmarks' shape: one config with seeds, epochs and mechanism keys
+        cfg = write_cfg(
+            tmp_path,
+            SYNTH_CFG.replace("mechanism=laplace", "mechanism=rr\nk=4\nd=2") + "seeds=3,4\n",
+        )
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(report["per_seed"]["accuracy"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, text, grid",
+        [
+            ("train", SYNTH_CFG, "epsilon=1,5"),
+            ("solve", "card_x=3\nbeta=1\n", "epsilon=1,5"),
+            ("frontier", "card_x=3\nbeta=0.5,2\n", "epsilon=1,5"),
+            ("solve", "card_x=3\nepsilon=1\n", "beta=0.5,2"),
+        ],
+    )
+    def test_grid_where_one_value_is_used_exits_2(self, tmp_path, capsys, command, text, grid):
+        key = grid.split("=")[0]
+        lines = [ln for ln in text.splitlines() if not ln.startswith(key + "=")]
+        cfg = write_cfg(tmp_path, "\n".join(lines + ["restarts=1", "iterations=50", grid]))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config key {key!r} takes one value" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []  # no artifact
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_grid_on_one_value_key_exits_2_in_every_command(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, SYNTH_CFG + "restarts=1,2\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config key 'restarts' takes one value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
+    @pytest.mark.parametrize(
+        "command, name, content, key",
+        [
+            ("solve", "missing.txt", None, "source"),
+            ("solve", "source.txt", "2 2 three\n" + "0.0833333333333333\n" * 12, "source"),
+            ("evaluate", "model.npz", "not a checkpoint\n", "model"),
+            ("report", "sweep.csv", "beta,epsilon,accuracy\n1.0,1.0,0.5\n", "sweep"),
+            ("report", "sweep.csv", ",".join(cli.SWEEP_COLUMNS) + "\n1.0,1.0,rr,high\n", "sweep"),
+        ],
+        ids=[
+            "missing-source", "non-integer-header", "not-a-checkpoint", "sweep-without-mode",
+            "sweep-non-numeric-row",
+        ],
+    )
+    def test_malformed_input_file_exits_4(self, tmp_path, capsys, command, name, content, key):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        cfg = write_cfg(tmp_path, SYNTH_CFG + f"{key}={path}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_fetch_data_synthetic_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, SYNTH_CFG)

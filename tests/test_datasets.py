@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,79 @@ class TestSerialization:
                 features=np.zeros((3, 1)), u=np.zeros(2, dtype=int), s=np.zeros(3, dtype=int),
                 split="train", schema=[ColumnSpec("f", "numeric", 1)],
             )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def feature_block(ds, name):
+    """The feature columns of one attribute, by schema name."""
+    offsets = np.cumsum([0] + [c.size for c in ds.schema])
+    i = [c.name for c in ds.schema].index(name)
+    return ds.features[:, offsets[i] : offsets[i + 1]]
+
+
+class TestTabularFixtures:
+    """Hand-written records in the raw adult format and the compas CSV format."""
+
+    def test_adult_fixture_parsed_features(self):
+        train, test = preprocess_adult(DATA / "adult_train.raw", DATA / "adult_test.raw")
+        # the '?' rows are dropped from both splits, the header and trailing dots ignored
+        assert (train.n, test.n) == (8, 3)
+        np.testing.assert_array_equal(train.u, [0, 0, 0, 0, 0, 1, 1, 1])
+        np.testing.assert_array_equal(train.s, [0, 0, 0, 0, 1, 1, 1, 0])
+        np.testing.assert_array_equal(test.u, [0, 0, 1])
+        np.testing.assert_array_equal(test.s, [0, 0, 1])
+
+        # numerics are z-scored with train statistics in both splits
+        age = np.array([39, 50, 38, 53, 28, 37, 31, 42], dtype=float)
+        mu, sd = age.mean(), age.std()
+        np.testing.assert_allclose(feature_block(train, "age")[:, 0], (age - mu) / sd, rtol=1e-12)
+        np.testing.assert_allclose(
+            feature_block(test, "age")[:, 0], (np.array([25.0, 38.0, 28.0]) - mu) / sd, rtol=1e-12
+        )
+        # a constant train column keeps unit scale
+        np.testing.assert_array_equal(feature_block(train, "capital-loss"), 0.0)
+
+        # categories come from train only; a test-only category is all zeros
+        spec = train.schema[[c.name for c in train.schema].index("workclass")]
+        assert spec.categories == ("Private", "Self-emp-not-inc", "State-gov")
+        np.testing.assert_array_equal(
+            feature_block(train, "workclass")[:2], [[0, 0, 1], [0, 1, 0]]
+        )
+        np.testing.assert_array_equal(
+            feature_block(test, "workclass"), [[1, 0, 0], [1, 0, 0], [0, 0, 0]]  # Local-gov
+        )
+        assert test.schema == train.schema and test.features.shape[1] == train.features.shape[1]
+
+    def test_adult_non_numeric_field_is_a_dataset_error(self, tmp_path):
+        bad = tmp_path / "train.raw"
+        bad.write_text((DATA / "adult_train.raw").read_text().replace("39,", "thirty-nine,", 1))
+        with pytest.raises(DatasetError, match="age"):
+            preprocess_adult(bad, DATA / "adult_test.raw")
+
+    @pytest.mark.filterwarnings("ignore:compas")  # row count and P(U=1) differ from the published
+    def test_compas_fixture_parsed_features(self):
+        train, test = load_compas(DATA / "compas.csv")
+        # ids 1, 2, 3, 6, 7, 8 and 13 pass the row filter; the split keeps
+        # the first 4320 shuffled rows for train
+        assert (train.n, test.n) == (7, 0)
+        age = np.array([69, 34, 24, 44, 41, 39, 52], dtype=float)  # by id
+        z = (age - age.mean()) / age.std()
+        ages = feature_block(train, "age")[:, 0]
+        rows = np.array([np.argmin(np.abs(ages - v)) for v in z])  # feature row of each id
+        assert sorted(rows) == list(range(7))
+        np.testing.assert_allclose(ages[rows], z, rtol=1e-12)
+        np.testing.assert_array_equal(train.u[rows], [0, 1, 1, 0, 1, 0, 1])
+        np.testing.assert_array_equal(train.s[rows], [0, 1, 1, 0, 0, 0, 0])
+        # id 8 has an empty c_days_from_compas, which reads as 0
+        days = np.array([1, 1, 1, 0, 1, 0, 30], dtype=float)
+        np.testing.assert_allclose(
+            feature_block(train, "c_days_from_compas")[rows, 0],
+            (days - days.mean()) / days.std(), rtol=1e-12,
+        )
+        spec = train.schema[[c.name for c in train.schema].index("c_charge_degree")]
+        assert spec.categories == ("F", "M")
+        np.testing.assert_array_equal(
+            feature_block(train, "c_charge_degree")[rows], [[1, 0], [1, 0], [1, 0], [0, 1], [1, 0], [0, 1], [1, 0]]
+        )

@@ -57,6 +57,12 @@ class TestNewJoint:
         with pytest.raises(InvalidDistributionError):
             new_joint(probs)
 
+    def test_nan_entry_rejected(self):
+        probs = np.full((2, 2, 2), 1.0 / 8)
+        probs[0, 0, 0] = np.nan
+        with pytest.raises(InvalidDistributionError, match="NaN"):
+            new_joint(probs)
+
     def test_zero_mass_rejected(self):
         with pytest.raises(InvalidDistributionError):
             new_joint(np.zeros((2, 2, 2)))
@@ -88,6 +94,10 @@ class TestChannel:
     def test_row_not_stochastic_rejected(self):
         with pytest.raises(InvalidDistributionError):
             new_channel(np.array([[0.5, 0.4], [0.5, 0.5]]))
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(InvalidDistributionError, match="NaN"):
+            new_channel(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
     @given(channels())
     @settings(max_examples=30, deadline=None)

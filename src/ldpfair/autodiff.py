@@ -1,20 +1,34 @@
 """Minimal dense reverse-mode automatic differentiation on float64 arrays.
 
-Define-by-run: every op builds a fresh graph node holding its parents and
-a closure that accumulates parent gradients.  A closure never refers to
-its own node (it keeps the output array in a local), so a graph holds no
-reference cycle and is freed as soon as its last tensor is dropped, not
-at the next cyclic garbage collection.  Tensors wrap numpy arrays of up
-to 3 axes; parameters persist across steps while the graph is rebuilt
-each forward pass.  A graph is single-owner and single-threaded;
-independent graphs may run in parallel.
+Two ways to differentiate share one set of kernels.
 
-An affine layer is one node: `dense(x, w, b, act)` computes act(x @ w + b)
-with the same float operations, in the same order, as the `matmul`, `add`
-and activation ops chained, and runs one backward for all three.  Every
-activation has one forward and one backward kernel in `ACTIVATIONS`; the
-activation ops, `dense` and hand-written passes such as MINE's all use
-them.
+The tape is define-by-run: every op builds a fresh graph node holding its
+parents and a closure that accumulates parent gradients.  A closure never
+refers to its own node (it keeps the output array in a local), so a graph
+holds no reference cycle and is freed as soon as its last tensor is
+dropped, not at the next cyclic garbage collection.  Tensors wrap numpy
+arrays of up to 3 axes; parameters persist across steps while the graph
+is rebuilt each forward pass.  A graph is single-owner and
+single-threaded; independent graphs may run in parallel.  The tape serves
+losses whose graph is not fixed, the no-gradient forwards of `Mlp`, and
+the reference that the hand-written passes are tested against (criterion
+7 checks its ops and `fair_encoder._loss_graph` by finite differences).
+
+`MlpPass` is the buffered pass for the fixed MLP losses that train: the
+fair encoder's Monte Carlo objective, the downstream classifiers and
+MINE.  Its forward writes each layer's output into a buffer made once per
+batch size, its backward applies each activation backward in place and
+writes the weight and bias gradients into caller-given views, usually of
+one flat gradient buffer (`flat_grad`) that `adam_step` takes whole.  It
+runs the float operations of the `dense` nodes chained, in the tape's
+order, so its values and gradients equal the tape's bit for bit.
+
+An affine layer is one tape node: `dense(x, w, b, act)` computes
+act(x @ w + b) with the same float operations, in the same order, as the
+`matmul`, `add` and activation ops chained, and runs one backward for all
+three.  Every activation has one forward and one backward kernel in
+`ACTIVATIONS`, and log-softmax has one pair; the tape ops, `dense` and
+`MlpPass` all use them.
 
 Gradient ownership: `_accum` stores the array a backward closure passes it
 without copying, so a stored `.grad` may be, or share memory with, another
@@ -95,6 +109,19 @@ def _softmax_fwd(z, out=None):
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
+
+
+def log_softmax_kernel(a):
+    """Log-softmax over the last axis."""
+    shifted = a - a.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted - lse
+
+
+def log_softmax_grad(g, y):
+    """Gradient on the logits for upstream g on the log-softmax output y."""
+    p = np.exp(y)
+    return g - p * g.sum(axis=-1, keepdims=True)
 
 
 ACTIVATIONS = {
@@ -260,15 +287,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str = "identity") -> Tensor:
     return out
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    y = log_softmax_kernel(a.data)
     out = Tensor(y, parents=(a,))
 
     def bw(g):
-        p = np.exp(y)
-        _accum(a, g - p * g.sum(axis=axis, keepdims=True))
+        _accum(a, log_softmax_grad(g, y))
 
     out._backward_fn = bw if out.requires_grad else None
     return out
@@ -458,6 +483,98 @@ class Mlp:
         return out
 
 
+# -- buffered MLP pass -------------------------------------------------------
+
+
+def flat_views(params: list[Tensor], flat: np.ndarray) -> list[np.ndarray]:
+    """Views of `flat` shaped like each parameter, raveled and concatenated
+    in list order: the layout of `adam_step`'s flat buffers."""
+    if flat.shape != (sum(p.data.size for p in params),):
+        raise DimensionMismatchError(f"flat buffer of shape {flat.shape} for {len(params)} parameters")
+    views, lo = [], 0
+    for p in params:
+        views.append(flat[lo : lo + p.data.size].reshape(p.data.shape))
+        lo += p.data.size
+    return views
+
+
+def flat_grad(params: list[Tensor]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A new flat gradient buffer over the parameters, in `adam_step`'s
+    layout, and a view of it shaped like each parameter."""
+    flat = np.empty(sum(p.data.size for p in params))
+    return flat, flat_views(params, flat)
+
+
+class MlpPass:
+    """Buffered forward and hand-written backward of one `Mlp`.
+
+    `forward` writes each layer's output into a buffer, `backward` writes
+    each layer's input gradient into another; a set of buffers is made
+    once per batch size and reused by every later call at that size.  The
+    float operations are those of the `dense` nodes chained, in the tape's
+    order, so outputs and gradients equal the tape's bit for bit.  What
+    `forward` returns and `backward` takes stays valid only until the next
+    call at the same batch size.  The weights are read at every call, so
+    `adam_step` may rebind them between calls.  Reusing the buffers pays:
+    on two cores, writing a matrix product into fresh memory costs about
+    as much as computing it.
+    """
+
+    def __init__(self, net: Mlp, input_grad: bool = False):
+        self.net = net
+        self.input_grad = input_grad  # backward also returns the gradient on the input
+        self._buffers: dict[int, tuple[list, list]] = {}
+        self._hs: list[np.ndarray] = []
+        self._grad_in: list = []
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The network's output on x, in a work buffer; keeps the layer
+        outputs for the next `backward`."""
+        n = x.shape[0]
+        if n not in self._buffers:
+            widths = self.net.spec.widths
+            self._buffers[n] = (
+                [np.empty((n, w)) for w in widths[1:]],
+                [np.empty((n, w)) if i or self.input_grad else None for i, w in enumerate(widths[:-1])],
+            )
+        outs, self._grad_in = self._buffers[n]
+        hs = [x]
+        for w, b, act, o in zip(self.net.weights, self.net.biases, self.net.spec.activations, outs):
+            np.matmul(hs[-1], w.data, out=o)
+            o += b.data
+            hs.append(ACTIVATIONS[act][0](o, out=o))
+        self._hs = hs
+        return hs[-1]
+
+    def backward(self, g: np.ndarray, grads: list[np.ndarray]) -> np.ndarray | None:
+        """Backward of the last `forward` for upstream gradient g on its
+        output; g is overwritten.  Writes each weight and bias gradient into
+        `grads`, in `net.parameters()` order, and returns the gradient on
+        the input (a work buffer) if `input_grad`, else None."""
+        hs, net = self._hs, self.net
+        for i in reversed(range(len(net.weights))):
+            g = ACTIVATIONS[net.spec.activations[i]][1](g, hs[i + 1], out=g)
+            np.matmul(hs[i].T, g, out=grads[2 * i])
+            np.add.reduce(g, axis=0, out=grads[2 * i + 1])
+            if i == 0 and not self.input_grad:
+                return None
+            g = np.matmul(g, net.weights[i].data.T, out=self._grad_in[i])
+        return g
+
+
+def nll_and_grad(logits: np.ndarray, labels: np.ndarray, g: float = 1.0) -> tuple[float, np.ndarray]:
+    """The mean negative log-likelihood of the labels under a softmax of
+    the logits, and the gradient on the logits of g times that mean: the
+    float operations of the taped `mean(mul(-1, pick(log_softmax(logits),
+    labels)))` run backward from an upstream gradient g."""
+    logp = log_softmax_kernel(logits)
+    rows = np.arange(logp.shape[0])
+    nll = float((-1.0 * logp[rows, labels]).mean())
+    picked = np.zeros_like(logp)
+    picked[rows, labels] = (float(g) / logp.shape[0]) * -1.0
+    return nll, log_softmax_grad(picked, logp)
+
+
 # -- Adam --------------------------------------------------------------------
 
 
@@ -487,23 +604,27 @@ def _bind(params: list[Tensor], state: AdamState) -> None:
     elif state.m.shape != (size,) or state.v.shape != (size,):
         raise DimensionMismatchError(f"adam_step: moments of size {state.m.size} for {size} parameter values")
     state.flat = np.concatenate([p.data.ravel() for p in params])
-    state.views = []
-    lo = 0
-    for p in params:
-        p.data = state.flat[lo : lo + p.data.size].reshape(p.data.shape)
-        state.views.append(p.data)
-        lo += p.data.size
+    state.views = flat_views(params, state.flat)
+    for p, view in zip(params, state.views):
+        p.data = view
 
 
 def adam_step(params: list[Tensor], state: AdamState, grads=None) -> None:
-    """Standard Adam update in place; grads default to each param's .grad."""
-    if grads is None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-    if len(grads) != len(params) or any(g.shape != p.data.shape for g, p in zip(grads, params)):
-        raise DimensionMismatchError("adam_step: gradient shapes do not match parameters")
+    """Standard Adam update in place.  grads: one array per parameter, or
+    one flat array over all of them laid out as `flat_views` lays them out;
+    it defaults to each param's .grad."""
+    if isinstance(grads, np.ndarray):
+        if grads.shape != (sum(p.data.size for p in params),):
+            raise DimensionMismatchError(f"adam_step: flat gradient of shape {grads.shape}")
+        g = grads
+    else:
+        if grads is None:
+            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+        if len(grads) != len(params) or any(g.shape != p.data.shape for g, p in zip(grads, params)):
+            raise DimensionMismatchError("adam_step: gradient shapes do not match parameters")
+        g = np.concatenate([g.ravel() for g in grads])
     if len(params) != len(state.views) or any(p.data is not v for p, v in zip(params, state.views)):
         _bind(params, state)
-    g = np.concatenate([g.ravel() for g in grads])
     state.step += 1
     t = state.step
     m, v = state.m, state.v
@@ -531,7 +652,7 @@ def save_checkpoint(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """(meta, arrays) of a `save_checkpoint` file; DatasetError if the file
-    is not a readable checkpoint archive."""
+    is not a readable checkpoint archive of this version."""
     try:
         f = np.load(path)
         if not isinstance(f, np.lib.npyio.NpzFile):  # a bare .npy array
@@ -542,7 +663,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise DatasetError(f"{path} is not a checkpoint: {exc}") from None
     if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-        raise PreconditionError(
-            f"unsupported checkpoint version {meta.get('checkpoint_version')!r}"
+        raise DatasetError(
+            f"{path}: unsupported checkpoint version {meta.get('checkpoint_version')!r}"
         )
     return meta, arrays

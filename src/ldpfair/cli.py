@@ -72,6 +72,8 @@ KEYS: dict[str, tuple[type, bool]] = {
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
 
 _GRID_RE = re.compile(r"^logspace\(\s*(-?[\d.]+)\s*,\s*(-?[\d.]+)\s*,\s*(\d+)\s*\)$")
+# most points a logspace grid may ask for; checked before the grid is made
+MAX_GRID_POINTS = 10_000
 
 
 def parse_config(text: str) -> dict:
@@ -99,6 +101,8 @@ def _parse_value(value: str):
             raise ConfigError(f"logspace grid bounds must be numbers: {value!r}") from None
         if n < 1:
             raise ConfigError(f"logspace grid needs >= 1 points: {value!r}")
+        if n > MAX_GRID_POINTS:
+            raise ConfigError(f"logspace grid of {n} points; at most {MAX_GRID_POINTS}: {value!r}")
         return [float(v) for v in np.logspace(lo, hi, n)]
     if "," in value:
         return [_parse_scalar(v.strip()) for v in value.split(",") if v.strip()]
@@ -488,9 +492,10 @@ def cmd_report(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     paths = [Path(p) for p in cfg.get("sweep", [out / "sweep.csv"])]
     groups: dict[tuple, dict[str, list[float]]] = {}
     for path in paths:
-        if not path.exists():
-            raise DatasetError(f"sweep file not found: {path}")
-        header, rows = _read_csv(path)
+        try:
+            header, rows = _read_csv(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DatasetError(f"cannot read sweep file {path}: {exc}") from None
         missing = [c for c in ("beta", "epsilon", "mode", *REPORT_METRICS) if c not in header]
         if missing:
             raise DatasetError(f"{path} is not a sweep CSV: no column {', '.join(missing)}")

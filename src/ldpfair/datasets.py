@@ -290,7 +290,15 @@ def load_compas(csv_path: str | Path) -> tuple[TabularDataset, TabularDataset]:
             f"compas: {len(rows)} rows after filtering, expected {total}", stacklevel=2
         )
 
-    u = np.array([int(r["two_year_recid"]) for r in rows])
+    def label(r):
+        try:
+            return int(r["two_year_recid"])
+        except ValueError:
+            raise DatasetError(
+                f"{path}: row id {r.get('id')}: two_year_recid {r['two_year_recid']!r} is not an integer"
+            ) from None
+
+    u = np.array([label(r) for r in rows])
     s = np.array([1 if r["race"] == "African-American" else 0 for r in rows])
     p_u1 = u.mean()
     if abs(p_u1 - COMPAS_P_U1) > 0.01:

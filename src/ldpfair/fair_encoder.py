@@ -12,10 +12,13 @@ per datum) of
 
     E[-log q(x | z, s)] + beta * E[-log q(u | z)]
 
-plus, for the discrete family, the codebook and commitment terms.  The
-module also carries exact enumeration helpers for small finite models so
-the sampled loss and the variational bound can be checked against closed
-forms.
+plus, for the discrete family, the codebook and commitment terms.
+`Objective` computes that loss and its gradient by hand over buffered
+network passes, and `train` and `mc_loss` use it; `_loss_graph` builds the
+same loss on the autodiff tape and stays as the reference it is tested
+against, bit for bit.  The module also carries exact enumeration helpers
+for small finite models so the sampled loss and the variational bound can
+be checked against closed forms.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import ColumnSpec, TabularDataset
 from .discrete_source import Channel, JointSourceUSX, compose, induced_joint
-from .errors import DivergenceError, PreconditionError
+from .errors import DatasetError, DivergenceError, PreconditionError
 from .ldp_mechanisms import (
     LaplaceMechanism,
     RandomizedResponse,
@@ -181,10 +184,7 @@ class EncoderModel:
             diff = pred[:, self._numeric_cols] - x[:, self._numeric_cols]
             ll -= 0.5 * (diff * diff).sum(axis=1)
         for lo, hi in self._cat_slices:
-            logits = pred[:, lo:hi]
-            logp = logits - logits.max(axis=1, keepdims=True)
-            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-            ll += (x[:, lo:hi] * logp).sum(axis=1)
+            ll += (x[:, lo:hi] * ad.log_softmax_kernel(pred[:, lo:hi])).sum(axis=1)
         return ll
 
 
@@ -228,7 +228,8 @@ def embed_dataset(model: EncoderModel, ds: TabularDataset, seed: int) -> Embeddi
 
 
 def _loss_graph(model, x, u, s, cfg, rng):
-    """Build the scalar loss tensor for one batch; returns (tensor, breakdown)."""
+    """Build the scalar loss tensor for one batch on the tape; returns
+    (tensor, breakdown).  The reference for `Objective`."""
     n = x.shape[0]
     s_onehot = np.eye(model.card_s)[np.asarray(s, dtype=np.intp)]
     recon_terms, util_terms = [], []
@@ -303,6 +304,148 @@ def _loss_graph(model, x, u, s, cfg, rng):
     return loss, breakdown
 
 
+class Objective:
+    """The Monte Carlo loss of one model and its gradient, by hand.
+
+    Calling it on a batch returns the loss breakdown and fills `grad`, one
+    flat array over `model.parameters()` in the layout of
+    `autodiff.flat_grad`, which `adam_step` takes whole.  Every float
+    operation is the one `_loss_graph` tapes, run in the order the tape's
+    backward runs it, so the breakdown equals `_loss_graph`'s and `grad`
+    the taped gradient, bit for bit; the tape accumulates a gradient fed
+    by several mechanism draws in draw order, and so does this.  The three
+    networks run through `autodiff.MlpPass`, and each draw's decoder
+    passes finish before the next draw reuses their buffers.  Draws from
+    `rng` are made in `_loss_graph`'s order.
+    """
+
+    def __init__(self, model: EncoderModel, cfg: TrainConfig):
+        self.model, self.cfg = model, cfg
+        self.params = model.parameters()
+        self.grad, views = ad.flat_grad(self.params)
+        n_enc, n_util = len(model.encoder.parameters()), len(model.utility_decoder.parameters())
+        n_dec = n_util + len(model.side_decoder.parameters())
+        self._enc_grads = views[:n_enc]
+        self._dec_grads = views[n_enc : n_enc + n_dec]
+        self._cb_grad = views[-1] if model.discrete else None
+        # decoder gradients of the draws after the first, added to the first's
+        self._dec_extra, self._dec_extra_grads = ad.flat_grad(self.params[n_enc : n_enc + n_dec])
+        lo = sum(v.size for v in self._enc_grads)
+        self._dec_span = slice(lo, lo + self._dec_extra.size)
+        self._n_util = n_util
+        self._encoder = ad.MlpPass(model.encoder)
+        self._utility = ad.MlpPass(model.utility_decoder, input_grad=True)
+        self._side = ad.MlpPass(model.side_decoder, input_grad=True)
+
+    def __call__(self, x: np.ndarray, u: np.ndarray, s: np.ndarray, rng: np.random.Generator) -> LossBreakdown:
+        model, cfg = self.model, self.cfg
+        n, draws = x.shape[0], cfg.mc_samples
+        # each term's upstream gradient, formed as the tape's backward forms
+        # it through the average over draws
+        per_draw = 1.0 / draws
+        g_util = cfg.beta * per_draw
+        s_onehot = np.eye(model.card_s)[s]
+
+        h = self._encoder.forward(x)
+        if model.discrete:
+            mech, cb = model.mechanism, model.codebook.data
+            feats = h.reshape(n * mech.d, model.code_dim)
+            idx, emb = quantize(feats, cb)
+            # codebook term: |cb[idx] - sg(feats)|^2, commitment term:
+            # |feats - sg(cb[idx])|^2; their values are equal, their
+            # gradients go to the codebook and to the encoder
+            cm_diff = feats - emb
+            sq_dist = (cm_diff * cm_diff).sum(axis=1).mean()
+            rows = feats.shape[0]
+            g_commit = (2.0 * ((cfg.commitment_weight * per_draw) / rows)) * cm_diff
+            g_picked = (2.0 * (per_draw / rows)) * (emb - feats)
+            # the tape's np.add.at scatter: per code, the rows' gradients
+            # summed in row order from 0, as bincount sums them
+            cells = (idx[:, None] * model.code_dim + np.arange(model.code_dim)).ravel()
+            cb_grad = np.bincount(cells, weights=g_picked.ravel(), minlength=cb.size).reshape(cb.shape)
+        else:
+            t_h = ad.ACTIVATIONS["tanh"][0](h)
+            zhat = model.mechanism.t * t_h
+
+        recon_terms, util_terms = [], []
+        h_grad = None
+        for draw in range(draws):
+            if model.discrete:
+                z_idx = rr_randomize(idx.reshape(n, mech.d), mech, rng).reshape(-1)
+                # straight-through: the decoders see the randomized embedding,
+                # the encoder an identity gradient through the quantizer
+                dec_in = cb[z_idx] - feats
+                dec_in += feats
+                dec_in = dec_in.reshape(n, -1)
+            else:
+                dec_in = zhat + rng.laplace(0.0, model.mechanism.scale, size=zhat.shape)
+            grads = self._dec_grads if draw == 0 else self._dec_extra_grads
+
+            util_nll, g = ad.nll_and_grad(self._utility.forward(dec_in), u, g_util)
+            util_terms.append(util_nll)
+            g_util_in = self._utility.backward(g, grads[: self._n_util])
+
+            pred = self._side.forward(np.concatenate([dec_in, s_onehot], axis=1))
+            recon, g = self._reconstruction(pred, x, per_draw / n)
+            recon_terms.append(recon)
+            g_side_in = self._side.backward(g, grads[self._n_util :])
+            g_dec = g_util_in + g_side_in[:, : dec_in.shape[1]]
+            if draw:
+                self.grad[self._dec_span] += self._dec_extra
+
+            if model.discrete:
+                g_h = g_dec.reshape(feats.shape) + g_commit
+            else:
+                g_h = ad.ACTIVATIONS["tanh"][1](g_dec * model.mechanism.t, t_h)
+            if h_grad is None:
+                h_grad = g_h
+            else:
+                h_grad += g_h
+        self._encoder.backward(h_grad.reshape(h.shape), self._enc_grads)
+
+        def avg(terms):
+            total = terms[0]
+            for t in terms[1:]:
+                total = total + t
+            return total * (1.0 / len(terms))
+
+        recon, util = avg(recon_terms), avg(util_terms)
+        loss = recon + cfg.beta * util
+        cb_val = cm_val = 0.0
+        if model.discrete:
+            self._cb_grad[...] = cb_grad
+            for _ in range(1, draws):
+                self._cb_grad += cb_grad
+            cb_val = cm_val = avg([sq_dist] * draws)
+            loss = loss + (cb_val + cfg.commitment_weight * cm_val)
+        return LossBreakdown(
+            total=float(loss), reconstruction=float(recon), utility=float(util),
+            codebook=float(cb_val), commitment=float(cm_val),
+        )
+
+    def _reconstruction(self, pred: np.ndarray, x: np.ndarray, g_row: float):
+        """Mean side-decoder NLL of x and its gradient on pred, for upstream
+        gradient g_row on each row's NLL: Gaussian on the numeric columns,
+        log-softmax on each categorical block."""
+        model = self.model
+        grad = np.zeros_like(pred)
+        parts = []
+        if model._numeric_cols.size:
+            cols = model._numeric_cols
+            diff = pred[:, cols] - x[:, cols]
+            parts.append(0.5 * (diff * diff).sum(axis=1))
+            grad[:, cols] = (2.0 * (g_row * 0.5)) * diff
+        for lo, hi in model._cat_slices:
+            logp = ad.log_softmax_kernel(pred[:, lo:hi])
+            onehot = x[:, lo:hi]
+            parts.append(-1.0 * (logp * onehot).sum(axis=1))
+            grad[:, lo:hi] = ad.log_softmax_grad((g_row * -1.0) * onehot, logp)
+        total = parts[0]
+        for part in parts[1:]:
+            total = total + part
+        return total.mean(), grad
+
+
 def mc_loss(
     model: EncoderModel, x, u, s, cfg: TrainConfig, rng: np.random.Generator
 ) -> LossBreakdown:
@@ -312,17 +455,17 @@ def mc_loss(
     s = np.asarray(s, dtype=np.intp).reshape(-1)
     if x.shape[0] != u.size or u.size != s.size:
         raise PreconditionError("mc_loss: batch row counts disagree")
-    _, breakdown = _loss_graph(model, x, u, s, cfg, rng)
-    return breakdown
+    return Objective(model, cfg)(x, u, s, rng)
 
 
 def train(model: EncoderModel, ds: TabularDataset, cfg: TrainConfig) -> list[LossBreakdown]:
     """Minibatch Adam training; returns one averaged LossBreakdown per epoch.
 
     Deterministic given cfg.seed.  Raises DivergenceError naming the epoch
-    if the loss goes non-finite.
+    if the loss goes non-finite.  Gradients come from `Objective`, equal
+    to the taped `_loss_graph`'s bit for bit.
     """
-    params = model.parameters()
+    objective = Objective(model, cfg)
     opt = ad.AdamState(lr=cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history: list[LossBreakdown] = []
@@ -332,12 +475,10 @@ def train(model: EncoderModel, ds: TabularDataset, cfg: TrainConfig) -> list[Los
         batches = 0
         for lo in range(0, ds.n, cfg.batch_size):
             sel = order[lo : lo + cfg.batch_size]
-            loss, bd = _loss_graph(model, ds.features[sel], ds.u[sel], ds.s[sel], cfg, rng)
+            bd = objective(ds.features[sel], ds.u[sel], ds.s[sel], rng)
             if not np.isfinite(bd.total):
                 raise DivergenceError(f"training loss non-finite at epoch {epoch}")
-            ad.zero_grad(params)
-            ad.backward(loss)
-            ad.adam_step(params, opt)
+            ad.adam_step(objective.params, opt, objective.grad)
             sums += (bd.total, bd.reconstruction, bd.utility, bd.codebook, bd.commitment)
             batches += 1
         history.append(LossBreakdown(*(sums / batches)))
@@ -379,12 +520,12 @@ def load_model(path: str | Path) -> EncoderModel:
         code_dim=meta["code_dim"] or DEFAULT_CODE_DIM,
     )
     params = model.parameters()
-    if len(params) != len(arrays):
-        raise PreconditionError("checkpoint parameter count does not match the model")
+    if sorted(arrays) != sorted(f"p{i}" for i in range(len(params))):
+        raise DatasetError(f"{path}: checkpoint arrays {sorted(arrays)} do not match the model's {len(params)} parameters")
     for i, p in enumerate(params):
         saved = arrays[f"p{i}"]
         if saved.shape != p.data.shape:
-            raise PreconditionError(f"checkpoint array p{i} has shape {saved.shape}, expected {p.data.shape}")
+            raise DatasetError(f"{path}: checkpoint array p{i} has shape {saved.shape}, expected {p.data.shape}")
         p.data = saved.astype(np.float64)
     return model
 

@@ -84,7 +84,10 @@ def train_downstream(
 
     The reported accuracy is on the held-out fraction.  Constant labels
     are not an error here: the classifier is trivially perfect and the
-    result is flagged degenerate so callers can discount it.
+    result is flagged degenerate so callers can discount it.  Each
+    minibatch's mean negative log-likelihood is differentiated by
+    `autodiff.MlpPass` into one flat gradient buffer for Adam, bit for bit
+    the gradient the tape would give.
     """
     z = np.atleast_2d(np.asarray(representations, dtype=np.float64))
     y = np.asarray(labels, dtype=np.intp).reshape(-1)
@@ -105,15 +108,15 @@ def train_downstream(
     tr, te = order[:cut], order[cut:]
     params = net.parameters()
     opt = ad.AdamState(lr=DOWNSTREAM_LR)
+    mlp = ad.MlpPass(net)
+    grad, views = ad.flat_grad(params)
     for _ in range(DOWNSTREAM_EPOCHS):
         ep_order = rng.permutation(tr.size)
         for lo in range(0, tr.size, DOWNSTREAM_BATCH):
             sel = tr[ep_order[lo : lo + DOWNSTREAM_BATCH]]
-            logp = ad.log_softmax(net(ad.Tensor(z[sel])))
-            loss = ad.mean(ad.mul(ad.Tensor(-1.0), ad.pick(logp, y[sel])))
-            ad.zero_grad(params)
-            ad.backward(loss)
-            ad.adam_step(params, opt)
+            _, g = ad.nll_and_grad(mlp.forward(z[sel]), y[sel])
+            mlp.backward(g, views)
+            ad.adam_step(params, opt, grad)
     preds = np.argmax(net(ad.Tensor(z[te])).data, axis=1)
     return DownstreamClassifier(net=net, accuracy=float((preds == y[te]).mean()))
 

@@ -202,39 +202,14 @@ class MineConfig:
             raise PreconditionError("iterations must cover at least one averaging window")
 
 
-def _forward(net: ad.Mlp, x: np.ndarray, outs) -> list[np.ndarray]:
-    """Layer outputs [x, h_1, ..., h_L], each computed in place in its buffer
-    with the autodiff activation kernels, so they equal the taped forward."""
-    hs = [x]
-    for w, b, act, o in zip(net.weights, net.biases, net.spec.activations, outs):
-        np.matmul(hs[-1], w.data, out=o)
-        o += b.data
-        hs.append(ad.ACTIVATIONS[act][0](o, out=o))
-    return hs
-
-
-def _backward(net: ad.Mlp, hs, g: np.ndarray, grad_in) -> list[np.ndarray]:
-    """Gradients in `net.parameters()` order for upstream gradient g on the
-    output, which is overwritten; equal to the taped backward bit for bit."""
-    grads: list[np.ndarray] = []
-    for i in reversed(range(len(net.weights))):
-        g = ad.ACTIVATIONS[net.spec.activations[i]][1](g, hs[i + 1], out=g)
-        grads[:0] = [hs[i].T @ g, g.sum(axis=0)]
-        if i == 0:
-            break
-        g = np.matmul(g, net.weights[i].data.T, out=grad_in[i - 1])
-    return grads
-
-
 def mine_estimate(samples_a, samples_b, cfg: MineConfig, seed: int) -> float:
     """Estimate I(A;B) in nats from paired real-valued samples.
 
     Deterministic given the seed.  Raises DivergenceError on non-finite
     values, which usually signals a too-large learning rate.  The network
-    is built and updated with the autodiff module's Mlp and Adam, but its
-    gradient is computed by hand, with the same activation kernels: the
-    loss has one fixed shape, and taping it costs more than the matrix
-    products themselves.
+    is built and updated with the autodiff module's Mlp and Adam, and
+    differentiated by its buffered `MlpPass`: the loss has one fixed shape,
+    and taping it costs more than the matrix products themselves.
     """
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
@@ -258,24 +233,22 @@ def mine_estimate(samples_a, samples_b, cfg: MineConfig, seed: int) -> float:
     ema_denominator = None
     batch = min(cfg.batch_size, n)
     recent: list[float] = []
-    # per-layer buffers, reused every pass: on two cores, writing a matrix
-    # product into fresh memory costs about as much as computing it
-    outs = [np.empty((batch, w)) for w in spec.widths[1:]]
-    grad_in = [np.empty((batch, w)) for w in spec.widths[1:-1]]
+    mlp = ad.MlpPass(net)
+    # the joint and marginal terms' gradients, summed into the first for Adam
+    grad, views = ad.flat_grad(params)
+    grad_marg, views_marg = ad.flat_grad(params)
     for it in range(cfg.iterations):
         idx = rng.integers(0, n, size=batch)
         shuffle = rng.permutation(batch)
         xa, xb = a[idx], b[idx]
         # The joint term's gradient does not depend on the EMA, so its pass
         # is finished before the marginal pass reuses the work buffers.
-        hs = _forward(net, np.concatenate([xa, xb], axis=1), outs)
-        t_joint = float(hs[-1].mean())
-        grads = _backward(net, hs, np.full((batch, 1), -1.0 / batch), grad_in)
+        t_joint = float(mlp.forward(np.concatenate([xa, xb], axis=1)).mean())
+        mlp.backward(np.full((batch, 1), -1.0 / batch), views)
 
-        hs = _forward(net, np.concatenate([xa, xb[shuffle]], axis=1), outs)
         # clip the statistic before exponentiation to keep the partition
         # term finite early in training
-        t_marg = hs[-1]
+        t_marg = mlp.forward(np.concatenate([xa, xb[shuffle]], axis=1))
         exp_marg = np.exp(np.clip(t_marg, -50.0, 50.0))
         denom_val = float(exp_marg.mean())
         if not np.isfinite(denom_val):
@@ -295,7 +268,8 @@ def mine_estimate(samples_a, samples_b, cfg: MineConfig, seed: int) -> float:
         # EMA-corrected gradient: d/dtheta [ -T_joint + denom / ema ]
         g_marg = np.full((batch, 1), (1.0 / ema_denominator) / batch) * exp_marg
         g_marg = g_marg * ((t_marg >= -50.0) & (t_marg <= 50.0))
-        grads_marg = _backward(net, hs, g_marg, grad_in)
-        ad.adam_step(params, opt, [gj + gm for gj, gm in zip(grads, grads_marg)])
+        mlp.backward(g_marg, views_marg)
+        grad += grad_marg
+        ad.adam_step(params, opt, grad)
 
     return float(np.mean(recent))

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ldpfair import DimensionMismatchError, PreconditionError
+from ldpfair import DatasetError, DimensionMismatchError, PreconditionError
 from ldpfair import autodiff as ad
 
 
@@ -175,6 +175,76 @@ class TestDense:
             ad.dense(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))), ad.Tensor(np.zeros(3)))
 
 
+class TestMlpPass:
+    """The buffered pass against the tape, bit for bit."""
+
+    @staticmethod
+    def taped(net, x, upstream):
+        xt = ad.parameter(x)
+        out = net(xt)
+        ad.zero_grad(net.parameters())
+        ad.backward(ad.tsum(ad.mul(out, ad.Tensor(upstream))))
+        return out.data, [p.grad for p in net.parameters()], xt.grad
+
+    @pytest.mark.parametrize("act", sorted(ad.ACTIVATIONS))
+    def test_equals_tape_with_input_gradient(self, act):
+        rng = np.random.default_rng(5)
+        net = ad.Mlp(ad.MlpSpec((3, 6, 5, 2), (act, act, "identity")), rng)
+        params = net.parameters()
+        grad, views = ad.flat_grad(params)
+        mlp = ad.MlpPass(net, input_grad=True)
+        # alternate two batch sizes: each keeps its own buffers
+        for n in (40, 17, 40, 17):
+            x = 3.0 * rng.normal(size=(n, 3))
+            upstream = rng.normal(size=(n, 2))
+            out, grads, dx = self.taped(net, x, upstream)
+            assert np.array_equal(mlp.forward(x), out)
+            got_dx = mlp.backward(upstream.copy(), views)
+            assert np.array_equal(got_dx, dx)
+            assert all(np.array_equal(v, g) for v, g in zip(views, grads))
+            assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads]))
+
+    def test_no_input_gradient_by_default(self):
+        rng = np.random.default_rng(6)
+        net = ad.Mlp(ad.MlpSpec((3, 4, 1), ("relu", "identity")), rng)
+        mlp = ad.MlpPass(net)
+        mlp.forward(rng.normal(size=(8, 3)))
+        views = [np.empty(p.data.shape) for p in net.parameters()]
+        assert mlp.backward(np.ones((8, 1)), views) is None
+
+    def test_reads_rebound_weights(self):
+        # after adam_step a parameter's .data is a view of the optimizer's buffer
+        rng = np.random.default_rng(7)
+        net = ad.Mlp(ad.MlpSpec((2, 4, 2), ("tanh", "identity")), rng)
+        mlp, x = ad.MlpPass(net), rng.normal(size=(5, 2))
+        first = mlp.forward(x).copy()
+        ad.adam_step(net.parameters(), ad.AdamState(lr=0.1), [np.ones(p.data.shape) for p in net.parameters()])
+        assert np.array_equal(mlp.forward(x), net(ad.Tensor(x)).data)
+        assert not np.array_equal(first, mlp.forward(x))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.37])
+    def test_nll_and_grad_equals_tape(self, scale):
+        rng = np.random.default_rng(8)
+        logits = 4.0 * rng.normal(size=(23, 3))
+        labels = rng.integers(0, 3, 23)
+        t = ad.parameter(logits)
+        loss = ad.mean(ad.mul(ad.Tensor(-1.0), ad.pick(ad.log_softmax(t), labels)))
+        ad.backward(ad.mul(ad.Tensor(scale), loss))
+        nll, g = ad.nll_and_grad(logits, labels, scale)
+        assert nll == float(loss.data)
+        assert np.array_equal(g, t.grad)
+
+    def test_flat_views_layout(self):
+        params = [ad.parameter(np.zeros((2, 3))), ad.parameter(np.zeros(4))]
+        flat = np.arange(10.0)
+        views = ad.flat_views(params, flat)
+        assert np.array_equal(views[0], [[0, 1, 2], [3, 4, 5]]) and np.array_equal(views[1], [6, 7, 8, 9])
+        views[1][0] = -1.0
+        assert flat[6] == -1.0
+        with pytest.raises(DimensionMismatchError):
+            ad.flat_views(params, np.zeros(9))
+
+
 class TestStopgradient:
     def test_straight_through_identity(self):
         # x + sg(q - x) passes q forward but x's gradient through
@@ -293,6 +363,23 @@ class TestAdam:
             if step >= 20:
                 assert np.array_equal(old.data, old_values)  # the replaced one stays put
 
+    def test_flat_gradient_equals_per_parameter_list(self):
+        rng = np.random.default_rng(3)
+        shapes = [(3, 2), (2,), (4,)]
+        start = [rng.normal(size=sh) for sh in shapes]
+        runs = []
+        for flat in (False, True):
+            params = [ad.parameter(v) for v in start]
+            st = ad.AdamState(lr=0.05)
+            grng = np.random.default_rng(4)
+            for _ in range(20):
+                grads = [grng.normal(size=sh) for sh in shapes]
+                ad.adam_step(params, st, np.concatenate([g.ravel() for g in grads]) if flat else grads)
+            runs.append([p.data.copy() for p in params])
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        with pytest.raises(DimensionMismatchError):
+            ad.adam_step(params, st, np.zeros(8))
+
     def test_moments_must_match_parameters(self):
         p = ad.parameter(np.ones(3))
         st = ad.AdamState()
@@ -327,5 +414,5 @@ class TestCheckpoint:
         np.savez(
             path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), w=np.zeros(2)
         )
-        with pytest.raises(PreconditionError):
+        with pytest.raises(DatasetError, match="version 999"):
             ad.load_checkpoint(path)

@@ -36,6 +36,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("=3\n")
 
+    @pytest.mark.parametrize("points", [cli.MAX_GRID_POINTS + 1, 10**12])
+    def test_logspace_point_cap(self, points):
+        # rejected before the grid is made
+        with pytest.raises(ConfigError, match="at most"):
+            parse_config(f"beta=logspace(0,1,{points})\n")
+        assert len(parse_config(f"beta=logspace(0,1,{cli.MAX_GRID_POINTS})\n")["beta"]) == cli.MAX_GRID_POINTS
+
     def test_hash_stable_and_order_insensitive(self):
         a = config_hash({"a": 1, "b": [2, 3]})
         b = config_hash({"b": [2, 3], "a": 1})
@@ -59,6 +66,7 @@ VALUES = st.one_of(
     st.sampled_from([
         "1", "-3", "2.5", "1e400", "nan", "inf", "true", "FALSE", "maybe", "", ",", "1,2",
         "a,b", "1,,2", "logspace(-1,1,3)", "logspace(.,1,2)", "logspace(0,1,0)", "1_0",
+        "logspace(0,1,10001)", "logspace(-3,3,999999999999)",
     ]),
     st.integers().map(str),
     st.floats().map(str),
@@ -85,6 +93,8 @@ def test_config_text_gives_typed_config_or_config_error(text):
         values = value if grid else [value]
         assert values and all(type(v) is cast for v in values), (key, value)
 
+
+DIRECTORY = object()  # test_malformed_input_file_exits_4: make a directory at the path
 
 SYNTH_CFG = """
 dataset=synthetic
@@ -261,20 +271,73 @@ class TestCommands:
             ("evaluate", "model.npz", "not a checkpoint\n", "model"),
             ("report", "sweep.csv", "beta,epsilon,accuracy\n1.0,1.0,0.5\n", "sweep"),
             ("report", "sweep.csv", ",".join(cli.SWEEP_COLUMNS) + "\n1.0,1.0,rr,high\n", "sweep"),
+            ("report", "sweep.csv", DIRECTORY, "sweep"),
         ],
         ids=[
             "missing-source", "non-integer-header", "not-a-checkpoint", "sweep-without-mode",
-            "sweep-non-numeric-row",
+            "sweep-non-numeric-row", "sweep-is-a-directory",
         ],
     )
     def test_malformed_input_file_exits_4(self, tmp_path, capsys, command, name, content, key):
         path = tmp_path / name
-        if content is not None:
+        if content is DIRECTORY:
+            path.mkdir()
+        elif content is not None:
             path.write_text(content)
         cfg = write_cfg(tmp_path, SYNTH_CFG + f"{key}={path}\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["version", "shape"])
+    def test_foreign_checkpoint_exits_4(self, tmp_path, capsys, damage):
+        from ldpfair import autodiff as ad
+
+        cfg = write_cfg(tmp_path, SYNTH_CFG)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "model.npz"
+        meta, arrays = ad.load_checkpoint(path)
+        if damage == "version":
+            meta["checkpoint_version"] = 2
+            np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        else:
+            arrays["p2"] = arrays["p2"][:, :-1]
+            ad.save_checkpoint(path, meta, arrays)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:compas")  # the fixture's row count and P(U=1) differ
+    def test_compas_non_integer_label_exits_4(self, tmp_path, capsys):
+        lines = (Path(__file__).parent / "data" / "compas.csv").read_text().splitlines()
+        assert lines[2].startswith("2,") and lines[2].endswith(",1")
+        lines[2] = lines[2][:-1] + "yes"
+        csv_path = tmp_path / "compas.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg = write_cfg(tmp_path, f"dataset=compas\ncompas_csv={csv_path}\nmechanism=laplace\nepsilon=5\nepochs=1\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert str(csv_path) in err and "two_year_recid" in err and "'yes'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mechanism", ["mechanism=rr\nk=4\nd=2", "mechanism=laplace\nt=0.5\nd=2"])
+    def test_repeated_train_and_evaluate_reproduce_artifacts(self, tmp_path, mechanism):
+        # no buffer or gradient state survives a call: the second train and
+        # evaluate in one process write the same bytes as the first.  1000
+        # rows at batch 256 end on a partial batch, so two batch sizes share
+        # each training run, and the downstream classifiers fit 700 rows
+        cfg = write_cfg(
+            tmp_path,
+            f"dataset=synthetic\ncard_x=4\nn_train=1000\nn_test=1000\n{mechanism}\n"
+            "epsilon=5\nbeta=1\nepochs=3\nbatch=256\nseeds=1,2\n",
+        )
+        runs = []
+        for run in range(2):
+            out = tmp_path / f"run{run}"
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+            runs.append([(out / f).read_bytes() for f in ("model.npz", "history.csv", "report.json")])
+        assert runs[0] == runs[1]
 
     def test_fetch_data_synthetic_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path, SYNTH_CFG)

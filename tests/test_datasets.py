@@ -250,6 +250,15 @@ class TestTabularFixtures:
             preprocess_adult(bad, DATA / "adult_test.raw")
 
     @pytest.mark.filterwarnings("ignore:compas")  # row count and P(U=1) differ from the published
+    def test_compas_non_integer_label_is_a_dataset_error(self, tmp_path):
+        bad = tmp_path / "compas.csv"
+        lines = (DATA / "compas.csv").read_text().splitlines()
+        lines[2] = lines[2][: lines[2].rindex(",") + 1] + "yes"  # id 2, which passes the filter
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="row id 2: two_year_recid 'yes'"):
+            load_compas(bad)
+
+    @pytest.mark.filterwarnings("ignore:compas")  # row count and P(U=1) differ from the published
     def test_compas_fixture_parsed_features(self):
         train, test = load_compas(DATA / "compas.csv")
         # ids 1, 2, 3, 6, 7, 8 and 13 pass the row filter; the split keeps

@@ -3,6 +3,7 @@ import pytest
 
 from ldpfair import (
     ColumnSpec,
+    DatasetError,
     LaplaceMechanism,
     PreconditionError,
     RandomizedResponse,
@@ -22,6 +23,8 @@ from ldpfair import (
     true_posteriors,
     variational_objective,
 )
+from ldpfair import autodiff as ad
+from ldpfair import fair_encoder as fe
 from ldpfair.fair_encoder import EncoderModel
 
 
@@ -150,6 +153,75 @@ class TestMcLoss:
         assert empirical == pytest.approx(exact, abs=0.01)
 
 
+MIXED_SCHEMA = [
+    ColumnSpec("age", "numeric", 1),
+    ColumnSpec("work", "categorical", 3, ("a", "b", "c")),
+    ColumnSpec("hours", "numeric", 1),
+    ColumnSpec("sex", "categorical", 2, ("f", "m")),
+]
+NUMERIC_SCHEMA = [ColumnSpec(f"f{i}", "numeric", 1) for i in range(4)]
+
+
+def schema_batch(schema, n, seed):
+    rng = np.random.default_rng(seed)
+    cols = [
+        rng.normal(size=(n, 1)) if c.kind == "numeric" else np.eye(c.size)[rng.integers(0, c.size, n)]
+        for c in schema
+    ]
+    return np.concatenate(cols, axis=1), rng.integers(0, 2, n), rng.integers(0, 2, n)
+
+
+class TestObjective:
+    """The hand-written gradient against the taped `_loss_graph`, bit for bit."""
+
+    @pytest.mark.parametrize("mechanism", ["rr", "laplace"])
+    @pytest.mark.parametrize("schema", ["numeric", "mixed"])
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    def test_equals_tape(self, mechanism, schema, draws):
+        mech = (
+            RandomizedResponse(epsilon=3.0, k=4, d=2) if mechanism == "rr"
+            else LaplaceMechanism(epsilon=3.0, t=0.5, d=2)
+        )
+        model = EncoderModel(NUMERIC_SCHEMA if schema == "numeric" else MIXED_SCHEMA, mech, seed=1)
+        cfg = TrainConfig(beta=1.7, mc_samples=draws)
+        objective = fe.Objective(model, cfg)
+        params = model.parameters()
+        # a full batch, a partial one, and the full size again on reused buffers
+        for n, seed in ((64, 5), (37, 6), (64, 7)):
+            x, u, s = schema_batch(model.schema, n, seed)
+            loss, taped_bd = fe._loss_graph(model, x, u, s, cfg, np.random.default_rng(seed))
+            ad.zero_grad(params)
+            ad.backward(loss)
+            taped = np.concatenate([p.grad.ravel() for p in params])
+            assert objective(x, u, s, np.random.default_rng(seed)) == taped_bd
+            assert np.array_equal(objective.grad, taped)
+
+    def test_train_steps_equal_taped_steps(self):
+        # three Adam steps through train against the same steps on the tape
+        _, tr, _ = toy_dataset(n_train=300)
+        cfg = TrainConfig(epochs=1, batch_size=128, seed=4, mc_samples=2)
+        mech = RandomizedResponse(epsilon=2.0, k=4, d=2)
+        model = EncoderModel(tr.schema, mech, seed=0)
+        history = train(model, tr, cfg)
+
+        ref = EncoderModel(tr.schema, mech, seed=0)
+        params, opt = ref.parameters(), ad.AdamState(lr=cfg.learning_rate)
+        rng = np.random.default_rng(cfg.seed)
+        order = rng.permutation(tr.n)
+        total, batches = 0.0, 0
+        for lo in range(0, tr.n, cfg.batch_size):
+            sel = order[lo : lo + cfg.batch_size]
+            loss, bd = fe._loss_graph(ref, tr.features[sel], tr.u[sel], tr.s[sel], cfg, rng)
+            ad.zero_grad(params)
+            ad.backward(loss)
+            ad.adam_step(params, opt)
+            total += bd.total
+            batches += 1
+        assert batches == 3 and history[0].total == total / batches
+        for a, b in zip(model.parameters(), params):
+            assert np.array_equal(a.data, b.data)
+
+
 class TestTrain:
     def test_loss_decreases_continuous(self):
         _, tr, _ = toy_dataset()
@@ -189,6 +261,22 @@ class TestCheckpoint:
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
         assert loaded.mechanism == model.mechanism
+
+
+    @pytest.mark.parametrize("damage", ["shape", "count"])
+    def test_mismatched_checkpoint_is_a_dataset_error(self, tmp_path, damage):
+        _, tr, _ = toy_dataset(n_train=200)
+        model = EncoderModel(tr.schema, RandomizedResponse(epsilon=2.0, k=4, d=2), seed=0)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        meta, arrays = ad.load_checkpoint(path)
+        if damage == "shape":
+            arrays["p0"] = arrays["p0"][:-1]
+        else:
+            del arrays[f"p{len(arrays) - 1}"]
+        ad.save_checkpoint(path, meta, arrays)
+        with pytest.raises(DatasetError, match="model.npz"):
+            load_model(path)
 
 
 class TestVariationalBound:

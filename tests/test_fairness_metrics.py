@@ -85,6 +85,37 @@ class TestDownstream:
         with pytest.raises(PreconditionError):
             train_downstream(np.zeros((5, 2)), np.zeros(5, dtype=int), seed=0)
 
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_equals_taped_training(self, classes):
+        # the same seeded split, minibatches and Adam steps, differentiated
+        # on the tape: weights and accuracy equal bit for bit (600 rows give
+        # a partial last batch of 164)
+        from ldpfair import autodiff as ad
+        from ldpfair import fairness_metrics as fm
+
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(600, 4))
+        y = (z[:, 0] > 0).astype(int) + (classes == 3) * (z[:, 1] > 0.5)
+        clf = train_downstream(z, y, seed=5)
+
+        rng = np.random.default_rng(5)
+        net = ad.Mlp(ad.MlpSpec((4, 100, classes), ("relu", "identity")), rng)
+        order = rng.permutation(600)
+        tr, te = order[:420], order[420:]
+        params, opt = net.parameters(), ad.AdamState(lr=fm.DOWNSTREAM_LR)
+        for _ in range(fm.DOWNSTREAM_EPOCHS):
+            ep_order = rng.permutation(tr.size)
+            for lo in range(0, tr.size, fm.DOWNSTREAM_BATCH):
+                sel = tr[ep_order[lo : lo + fm.DOWNSTREAM_BATCH]]
+                logp = ad.log_softmax(net(ad.Tensor(z[sel])))
+                ad.zero_grad(params)
+                ad.backward(ad.mean(ad.mul(ad.Tensor(-1.0), ad.pick(logp, y[sel]))))
+                ad.adam_step(params, opt)
+        for a, b in zip(clf.net.parameters(), params):
+            assert np.array_equal(a.data, b.data)
+        preds = np.argmax(net(ad.Tensor(z[te])).data, axis=1)
+        assert clf.accuracy == float((preds == y[te]).mean())
+
 
 class TestSensitiveAccuracy:
     def test_single_class_rejected(self):

@@ -306,8 +306,11 @@ def cmd_fetch_data(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> in
 def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     """Run every theory check; exit 0 iff all pass.  The lemmas are checked
     at every epsilon, the bound chain at solve_epsilon and the first beta."""
+    n_sources = cfg.get("verify_sources", 3)
+    if n_sources < 1:  # the lemma checks would pass having checked nothing
+        raise ConfigError(f"config key 'verify_sources' must be >= 1, got {n_sources}")
     checks: dict[str, dict] = {}
-    rng_seeds = [seed + i for i in range(cfg.get("verify_sources", 3))]
+    rng_seeds = [seed + i for i in range(n_sources)]
     check_floor = cfg.get("check_budget_equals_floor", False)
 
     # closure + budget bound over random encoders and RR channels

@@ -3,14 +3,14 @@
 Maximizes I(X;Z|S) + beta * I(U;Z) over softmax-parameterized encoders
 composed with a fixed randomized-response channel.  The objective and its
 gradient have a closed form in the induced joint (log-ratio terms, as in
-the information bottleneck), so one batched Adam ascent runs every
-restart and every beta of a frontier at once, and every reported
-quantity is recomputed exactly.  A brute-force candidate search over raw
-channels provides the independent oracle for the constrained problem
-min I(S;Z) subject to I(U;Z) >= gamma: a worker thread draws its random
-candidates in chunks of 25k while the calling thread scores the previous
-chunk, with the same candidate stream and the same first-minimum choice
-as a serial search.  Solver and oracle share one MI kernel, `_log_ratio`.
+the information bottleneck): one kernel weighs I(X;Z), I(S;Z) and I(U;Z)
+over their stacked tables in one pass, one batched Adam ascent runs every
+restart and every beta of a frontier at once, and every reported quantity
+is recomputed exactly.  A brute-force candidate search over raw channels,
+scored by `_log_ratio`, is the independent oracle for min I(S;Z) subject
+to I(U;Z) >= gamma: a worker thread draws random candidates in chunks of
+25k while the calling thread scores the previous chunk, with the same
+candidate stream and first-minimum choice as a serial search.
 
 Only the discrete randomized-response mechanism is admitted here: it has
 an exact finite channel form, so the theory checks are enumerations, not
@@ -86,25 +86,43 @@ def _log_ratio(p_ax: np.ndarray, channels: np.ndarray) -> tuple[np.ndarray, np.n
     return p_az, log_ratio
 
 
-def _objective_graph(
-    logits: np.ndarray, src: JointSourceUSX, rr_rows: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """I(X;Z|S) + beta I(U;Z) and its gradient w.r.t. the logits, in closed
-    form, for a (B, |X|, |Zhat|) batch of logits with one beta per row.
+def _tables(src: JointSourceUSX) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables p(a, x) of I(X;Z), I(S;Z) and I(U;Z), stacked once per
+    solve: diag p(x), p(s, x) and p(u, x) as the rows of one array; the log
+    of each row's sum, -inf for an empty row; p(x); and the (rows, 3)
+    indicator of the table each row belongs to."""
+    p_x = src.p_x()
+    p_ax = np.vstack([np.diag(p_x), src.p_sx(), src.p_ux()])
+    with np.errstate(divide="ignore"):
+        log_pa = np.log(p_ax.sum(axis=1, keepdims=True))
+    return p_ax, log_pa, p_x, np.repeat(np.eye(3), [src.card_x, src.card_s, src.card_u], axis=0)
 
-    S - X - Z is Markov, so the objective is I(X;Z) - I(S;Z) + beta I(U;Z).
+
+def _objective_graph(
+    logits: np.ndarray, tables: tuple, channel: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """w_X I(X;Z) + w_S I(S;Z) + w_U I(U;Z) and its gradient w.r.t. the
+    logits, in closed form, for a (B, |X|, |Zhat|) batch of logits with one
+    row of (w_X, w_S, w_U) per logit row in the (B, 3) `weights`.  Z is the
+    softmax encoder followed by `channel`; `tables` comes from `_tables`.
+
+    With S - X - Z Markov, I(X;Z|S) + beta I(U;Z) takes the weights (1, -1, beta).
     For a table p(a, x), dI(A;Z)/dp(z|x) = sum_a p(a,x) log[p(a,z) / (p(a) p(z))]
-    up to a per-x constant, which the softmax chain removes.
+    up to a per-x constant, which the softmax chain removes.  The three tables
+    share p(z) = sum_x p(x) p(z|x), so one pass over the stacked rows serves all.
     """
+    p_ax, log_pa, p_x, which = tables
     enc = _softmax(logits)
-    pzx = enc @ rr_rows
-    value, g_pzx = 0.0, 0.0
-    for p_ax, w in ((np.diag(src.p_x()), 1.0), (src.p_sx(), -1.0), (src.p_ux(), beta[:, None, None])):
-        p_az, log_ratio = _log_ratio(p_ax, pzx)
-        value = value + w * (p_az * log_ratio).sum(axis=(1, 2), keepdims=True)
-        g_pzx = g_pzx + w * np.einsum("ax,baz->bxz", p_ax, log_ratio)
-    g_enc = g_pzx @ rr_rows.T
-    return value[:, 0, 0], enc * (g_enc - (enc * g_enc).sum(axis=2, keepdims=True))
+    pzx = enc @ channel
+    p_az = p_ax @ pzx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(p_az)
+        log_ratio -= np.log(p_x @ pzx)[:, None, :]
+        log_ratio -= log_pa
+    np.copyto(log_ratio, 0.0, where=p_az == 0)
+    log_ratio *= (weights @ which.T)[:, :, None]  # each row's table weight
+    g_enc = (p_ax.T @ log_ratio) @ channel.T
+    return (p_az * log_ratio).sum(axis=(1, 2)), enc * (g_enc - (enc * g_enc).sum(axis=2, keepdims=True))
 
 
 def _exact_point(
@@ -112,19 +130,11 @@ def _exact_point(
 ) -> FrontierPoint:
     """Recompute all reported quantities from the exact induced joint."""
     full = induced_joint(src, compose(enc, new_channel(rr_rows)))
-    Gamma = mutual_information(full.p_uz())
-    nu = conditional_mi(full.p_xzs())
+    Gamma, nu = mutual_information(full.p_uz()), conditional_mi(full.p_xzs())
     return FrontierPoint(
-        beta=beta,
-        epsilon=epsilon,
-        gamma_target=math.nan,
-        Gamma=Gamma,
-        Omega=mutual_information(full.p_sz()),
-        nu=nu,
-        ixz=mutual_information(full.p_xz()),
-        encoder=enc,
-        objective=nu + beta * Gamma,
-        converged=converged,
+        beta=beta, epsilon=epsilon, gamma_target=math.nan, Gamma=Gamma,
+        Omega=mutual_information(full.p_sz()), nu=nu, ixz=mutual_information(full.p_xz()),
+        encoder=enc, objective=nu + beta * Gamma, converged=converged,
     )
 
 
@@ -148,12 +158,14 @@ def _solve(
             f"alphabet k^d = {mech.k**mech.d}"
         )
     rr_rows = rr_channel(mech).rows
+    tables = _tables(src)
     starts = [
         np.random.default_rng([cfg.seed, r]).normal(0.0, 1.0, size=(src.card_x, zhat_card))
         for r in range(cfg.restarts)
     ]
     logits = np.tile(starts, (len(betas), 1, 1))
     row_beta = np.repeat(betas, cfg.restarts)
+    weights = np.column_stack([np.ones_like(row_beta), -np.ones_like(row_beta), row_beta])
     last = np.full(len(logits), -np.inf)
     converged = np.zeros(len(logits), dtype=bool)
     finite = np.ones(len(logits), dtype=bool)
@@ -162,7 +174,7 @@ def _solve(
     param = ad.parameter(logits.copy())
     opt = ad.AdamState(lr=cfg.learning_rate)
     for _ in range(cfg.iterations):
-        val, grad = _objective_graph(param.data, src, rr_rows, row_beta[active])
+        val, grad = _objective_graph(param.data, tables, rr_rows, weights)
         bad = ~np.isfinite(val)
         done = bad | (np.abs(val - last[active]) < cfg.tol)
         if done.any():
@@ -170,14 +182,14 @@ def _solve(
             converged[active[done & ~bad]] = True
             logits[active[done]] = param.data[done]
             keep = ~done
-            active, val, grad = active[keep], val[keep], grad[keep]
+            active, val, grad, weights = active[keep], val[keep], grad[keep], weights[keep]
             if opt.m is not None:  # Adam's flat moments, in the parameter's layout
                 opt.m, opt.v = (a.reshape(param.data.shape)[keep].ravel() for a in (opt.m, opt.v))
             param = ad.parameter(param.data[keep])
             if not active.size:
                 break
         last[active] = val
-        ad.adam_step([param], opt, grads=[-grad])  # ascent
+        ad.adam_step([param], opt, grads=-grad.ravel())  # ascent
     logits[active] = param.data
 
     points = []
@@ -205,10 +217,7 @@ def solve_g(src: JointSourceUSX, mech: RandomizedResponse, cfg: SolverConfig) ->
 
 
 def trace_frontier(
-    src: JointSourceUSX,
-    mech: RandomizedResponse,
-    beta_grid,
-    cfg: SolverConfig,
+    src: JointSourceUSX, mech: RandomizedResponse, beta_grid, cfg: SolverConfig
 ) -> list[FrontierPoint]:
     """One solved point per beta, in ascending beta order, all solved in
     one batch; a beta whose ascent diverged is recorded as an unconverged
@@ -255,11 +264,7 @@ def _batched_mi_terms(probs_2d: np.ndarray, channels: np.ndarray) -> np.ndarray:
 
 
 def solve_G_bruteforce(
-    src: JointSourceUSX,
-    gamma: float,
-    budget: int = 1_000_000,
-    seed: int = 0,
-    card_z: int | None = None,
+    src: JointSourceUSX, gamma: float, budget: int = 1_000_000, seed: int = 0, card_z: int | None = None
 ) -> tuple[float, Channel]:
     """Oracle minimum of I(S;Z) subject to I(U;Z) >= gamma - 1e-6.
 
@@ -277,13 +282,12 @@ def solve_G_bruteforce(
     card_z = card_z if card_z is not None else src.card_x
     if src.card_x > 4 or card_z > 4:
         raise PreconditionError("oracle regime is |X| <= 4 and |Z| <= 4")
-    max_util = mutual_information(src.p_ux())  # identity channel ceiling
+    p_ux, p_sx = src.p_ux(), src.p_sx()
+    max_util = mutual_information(p_ux)  # identity channel ceiling
     if gamma > max_util + CONSTRAINT_TOL:
         raise InfeasibleGammaError(
             f"gamma = {gamma:g} exceeds the maximum achievable I(U;Z) = {max_util:g}"
         )
-    p_ux = src.p_ux()
-    p_sx = src.p_sx()
     rng = np.random.default_rng(seed)
 
     best_leak = np.inf
@@ -301,16 +305,10 @@ def solve_G_bruteforce(
             best_leak = float(leak[i])
             best_channel = feasible[i].copy()  # not a view pinning the batch
 
-    # all deterministic channels (at most card_z**card_x <= 256)
-    n_det = card_z**src.card_x
-    det = np.zeros((n_det, src.card_x, card_z))
-    for idx in range(n_det):
-        code = idx
-        for x in range(src.card_x):
-            det[idx, x, code % card_z] = 1.0
-            code //= card_z
+    # all deterministic channels (at most 4**4): channel i sends x to digit x of i in base card_z
+    det = np.eye(card_z)[np.arange(card_z**src.card_x)[:, None] // card_z ** np.arange(src.card_x) % card_z]
 
-    per_conc = max(budget - n_det, 0) // len(_CONCENTRATIONS)
+    per_conc = max(budget - len(det), 0) // len(_CONCENTRATIONS)
     draws = [
         (alpha, min(_CHUNK, per_conc - done))
         for alpha in _CONCENTRATIONS

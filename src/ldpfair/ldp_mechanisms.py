@@ -10,6 +10,7 @@ its closed-form density ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,14 @@ class LaplaceMechanism:
     d: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise PreconditionError(f"Laplace mechanism needs epsilon > 0, got {self.epsilon}")
-        if self.t <= 0:
-            raise PreconditionError(f"truncation threshold must be > 0, got {self.t}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):  # also rejects NaN
+            raise PreconditionError(f"Laplace mechanism needs a finite epsilon > 0, got {self.epsilon}")
+        if not (self.t > 0 and math.isfinite(self.t)):
+            raise PreconditionError(f"truncation threshold must be finite and > 0, got {self.t}")
         if self.d < 1:
             raise PreconditionError(f"dimension must be >= 1, got {self.d}")
+        if not math.isfinite(self.scale):
+            raise PreconditionError(f"noise scale 2td/epsilon overflows at epsilon = {self.epsilon}")
 
     @property
     def scale(self) -> float:
@@ -62,12 +65,15 @@ class RandomizedResponse:
     d: int
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise PreconditionError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):  # also rejects NaN
+            raise PreconditionError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.k < 2:
             raise PreconditionError(f"alphabet size must be >= 2, got {self.k}")
         if self.d < 1:
             raise PreconditionError(f"dimension must be >= 1, got {self.d}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.exp(self.epsilon / self.d)):
+                raise PreconditionError(f"e^(epsilon/d) overflows at epsilon = {self.epsilon}, d = {self.d}")
 
     @property
     def keep_prob(self) -> float:

@@ -184,6 +184,34 @@ class TestCommands:
         cfg.write_text(cfg.read_text().replace("=false", "=maybe"))
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
 
+    def test_verify_with_no_sources_exits_2(self, tmp_path, capsys):
+        # zero sources would report the lemma checks as passed having checked nothing
+        cfg = write_cfg(tmp_path, "card_x=3\nrestarts=2\niterations=50\nverify_sources=0\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config key 'verify_sources' must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "verify.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, mechanism, epsilon",
+        [
+            ("train", "rr", "nan"), ("train", "rr", "1e400"), ("train", "rr", "2000"),
+            ("train", "laplace", "nan"), ("train", "laplace", "1e400"),
+            ("solve", None, "nan"), ("solve", None, "1e400"), ("solve", None, "2000"),
+        ],
+    )
+    def test_non_finite_epsilon_exits_2(self, tmp_path, capsys, command, mechanism, epsilon):
+        # rr with d = 2 overflows e^(epsilon/d) at epsilon = 2000; the solver's rr has d = 1
+        if command == "train":
+            text = SYNTH_CFG.replace("mechanism=laplace", f"mechanism={mechanism}\nk=4\nd=2")
+        else:
+            text = "card_x=3\nbeta=1\nrestarts=1\niterations=50\n"
+        text = "\n".join(ln for ln in text.splitlines() if not ln.startswith("epsilon="))
+        cfg = write_cfg(tmp_path, f"{text}\nepsilon={epsilon}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "epsilon" in err and "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []  # no model, no solution
+
     @pytest.mark.parametrize(
         "line, message",
         [

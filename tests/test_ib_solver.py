@@ -8,12 +8,16 @@ import pytest
 
 from ldpfair import (
     InfeasibleGammaError,
+    JointSourceUSX,
     PreconditionError,
     RandomizedResponse,
     SolverConfig,
     check_theorem1,
+    compose,
+    induced_joint,
     mutual_information,
     new_channel,
+    random_channel,
     random_source,
     rr_channel,
     solve_G_bruteforce,
@@ -23,6 +27,8 @@ from ldpfair import (
 from ldpfair import ib_solver
 from ldpfair.ib_solver import _batched_mi_terms, _log_ratio, _objective_graph
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")  # a zero cell's log must stay silent
+
 FAST = SolverConfig(restarts=2, iterations=800)
 
 
@@ -30,26 +36,89 @@ def _replace(cfg, **kw):
     return replace(cfg, **kw)
 
 
+def per_table_objective(logits, src, channel, weights):
+    """The kernel's value and gradient written one table at a time, each
+    table with its own p(z), from `_log_ratio`."""
+    enc = ib_solver._softmax(logits)
+    pzx = enc @ channel
+    value, g_pzx = 0.0, 0.0
+    for t, p_ax in enumerate((np.diag(src.p_x()), src.p_sx(), src.p_ux())):
+        p_az, log_ratio = _log_ratio(p_ax, pzx)
+        w = weights[:, t, None, None]
+        value = value + w * (p_az * log_ratio).sum(axis=(1, 2), keepdims=True)
+        g_pzx = g_pzx + w * np.einsum("ax,baz->bxz", p_ax, log_ratio)
+    g_enc = g_pzx @ channel.T
+    return value[:, 0, 0], enc * (g_enc - (enc * g_enc).sum(axis=2, keepdims=True))
+
+
+# one row per objective: the solver's (1, -1, beta), each term alone, and mixed signs
+WEIGHTS = np.array([[1, -1, 0.1], [1, -1, 2], [1, 0, 0], [0, 1, 0], [0, 0, 1], [-0.5, 2, 3]])
+
+
+class TestObjectiveKernel:
+    @pytest.mark.parametrize("card_x", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 3.0])
+    def test_equals_per_table_formula(self, card_x, eps):
+        channel = rr_channel(RandomizedResponse(epsilon=eps, k=card_x, d=1)).rows
+        for seed in range(3):
+            src = random_source(2, 2, card_x, seed=seed)
+            logits = np.random.default_rng(seed).normal(size=(len(WEIGHTS), card_x, card_x))
+            value, grad = _objective_graph(logits, ib_solver._tables(src), channel, WEIGHTS)
+            ref_value, ref_grad = per_table_objective(logits, src, channel, WEIGHTS)
+            np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("empty", ["x", "s"])
+    def test_empty_symbol_gives_finite_values_and_zero_terms(self, empty):
+        probs = random_source(2, 2, 3, seed=1).probs.copy()
+        if empty == "x":
+            probs[:, :, 1] = 0.0  # p(x = 1) = 0: an empty row of diag p(x), an empty column everywhere
+        else:
+            probs[:, 1, :] = 0.0  # p(s = 1) = 0: an empty row of p(s, x)
+        src = JointSourceUSX(probs / probs.sum())
+        channel = rr_channel(RandomizedResponse(epsilon=1.0, k=3, d=1)).rows
+        logits = np.random.default_rng(2).normal(size=(len(WEIGHTS), 3, 3))
+        value, grad = _objective_graph(logits, ib_solver._tables(src), channel, WEIGHTS)
+        assert np.isfinite(value).all() and np.isfinite(grad).all()
+        ref_value, ref_grad = per_table_objective(logits, src, channel, WEIGHTS)
+        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13)
+        # each term alone is the exact mutual information of the induced joint
+        for b, pair in ((2, "p_xz"), (3, "p_sz"), (4, "p_uz")):  # the rows (1, 0, 0), (0, 1, 0), (0, 0, 1)
+            enc = new_channel(ib_solver._softmax(logits[b]))
+            joint = induced_joint(src, compose(enc, new_channel(channel)))
+            assert abs(value[b] - mutual_information(getattr(joint, pair)())) <= 1e-13
+        if empty == "x":
+            assert not grad[:, 1, :].any()  # no mass, no gradient
+        pt = solve_g(src, RandomizedResponse(epsilon=1.0, k=3, d=1), _replace(FAST, iterations=200))
+        assert all(np.isfinite([pt.Gamma, pt.Omega, pt.nu, pt.ixz, pt.objective]))
+        if empty == "s":
+            assert pt.Omega == 0.0
+
+
 class TestGradient:
     @pytest.mark.parametrize("card_x", [3, 4])
-    @pytest.mark.parametrize("eps", [0.5, 3.0])
+    @pytest.mark.parametrize("eps", [0.5, 3.0, None])  # None: a random channel, not symmetric like rr
     def test_matches_finite_differences(self, card_x, eps):
-        # one batch whose rows carry different betas, against single-row values
+        # one batch whose rows carry different weights, against single-row values
         src = random_source(2, 2, card_x, seed=0)
-        mech = RandomizedResponse(epsilon=eps, k=card_x, d=1)
+        tables = ib_solver._tables(src)
         rng = np.random.default_rng(1)
-        betas = np.array([0.1, 2.0, 50.0])
-        logits = rng.normal(size=(len(betas), card_x, card_x))
-        rr_rows = rr_channel(mech).rows
-        _, grads = _objective_graph(logits, src, rr_rows, betas)
+        weights = np.array([[1, -1, 0.1], [1, -1, 2.0], [1, -1, 50.0], [0, 1, 0], [-0.5, 2, 3]])
+        logits = rng.normal(size=(len(weights), card_x, card_x))
+        if eps is None:
+            channel = random_channel(card_x, card_x, seed=2).rows
+        else:
+            channel = rr_channel(RandomizedResponse(epsilon=eps, k=card_x, d=1)).rows
+        _, grads = _objective_graph(logits, tables, channel, weights)
         num = np.zeros_like(logits)
-        for b, beta in enumerate(betas):
+        for b in range(len(weights)):
             for i in range(card_x):
                 for j in range(card_x):
                     for sign in (1, -1):
                         pert = logits[b].copy()
                         pert[i, j] += sign * 1e-6
-                        v, _ = _objective_graph(pert[None], src, rr_rows, np.array([beta]))
+                        v, _ = _objective_graph(pert[None], tables, channel, weights[b : b + 1])
                         num[b, i, j] += sign * v[0] / 2e-6
         np.testing.assert_allclose(grads, num, rtol=1e-4, atol=1e-10)
 

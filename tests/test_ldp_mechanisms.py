@@ -35,6 +35,14 @@ class TestLaplaceMechanism:
         with pytest.raises(PreconditionError):
             LaplaceMechanism(epsilon=1.0, t=-0.1, d=2)
 
+    @pytest.mark.parametrize(
+        "epsilon, t", [(float("nan"), 0.5), (float("inf"), 0.5), (1.0, float("nan")), (1.0, float("inf")),
+                       (1e-310, 0.5)],  # the last one's noise scale overflows
+    )
+    def test_non_finite_params_rejected(self, epsilon, t):
+        with pytest.raises(PreconditionError):
+            LaplaceMechanism(epsilon=epsilon, t=t, d=2)
+
     def test_out_of_range_input_rejected(self):
         mech = LaplaceMechanism(epsilon=1.0, t=0.5, d=2)
         with pytest.raises(PreconditionError):
@@ -90,6 +98,16 @@ class TestRandomizedResponse:
         mech = RandomizedResponse(epsilon=1.0, k=2, d=2)
         single = rr_channel(RandomizedResponse(epsilon=0.5, k=2, d=1)).rows
         np.testing.assert_allclose(rr_channel(mech).rows, np.kron(single, single), atol=1e-12)
+
+    @pytest.mark.parametrize("epsilon, d", [(float("nan"), 1), (float("inf"), 2), (2000.0, 2), (710.0, 1)])
+    def test_non_finite_epsilon_rejected(self, epsilon, d):
+        # NaN, inf, or an e^(epsilon/d) that overflows would give NaN keep/flip probabilities
+        with pytest.raises(PreconditionError):
+            RandomizedResponse(epsilon=epsilon, k=3, d=d)
+
+    def test_large_finite_budget_keeps_every_symbol(self):
+        mech = RandomizedResponse(epsilon=1400.0, k=3, d=2)  # e^700 is finite
+        assert mech.keep_prob == 1.0 and 0.0 < mech.flip_prob < 1e-300
 
     def test_out_of_range_symbol(self):
         mech = RandomizedResponse(epsilon=1.0, k=3, d=1)

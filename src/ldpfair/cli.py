@@ -69,6 +69,8 @@ KEYS: dict[str, tuple[type, bool]] = {
     # evaluation and reports
     "model": (str, ONE), "seeds": (int, GRID), "sweep": (str, GRID),
 }
+# seeds of numpy generators, which take no negative value
+SEED_KEYS = frozenset({"source_seed", "data_seed", "seeds"})
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
 
 _GRID_RE = re.compile(r"^logspace\(\s*(-?[\d.]+)\s*,\s*(-?[\d.]+)\s*,\s*(\d+)\s*\)$")
@@ -134,8 +136,8 @@ def check_config(cfg: dict) -> dict:
     """A typed copy of a parsed config, checked against `KEYS`.
 
     Raises ConfigError on an unknown key (naming the nearest known one), a
-    value that does not cast, a fractional int, a bad bool, or a grid on a
-    one-value key.  A grid key maps to a non-empty list.
+    value that does not cast, a fractional int, a bad bool, a negative seed,
+    or a grid on a one-value key.  A grid key maps to a non-empty list.
     """
     typed = {}
     for key, value in cfg.items():
@@ -153,6 +155,8 @@ def check_config(cfg: dict) -> dict:
             raise ConfigError(f"config key {key!r} takes one value, got the grid {value!r}")
         else:
             typed[key] = _cast(key, value, cast)
+        if key in SEED_KEYS and min(typed[key] if grid else [typed[key]]) < 0:
+            raise ConfigError(f"config key {key!r} must be >= 0, got {value!r}")
     return typed
 
 
@@ -549,6 +553,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         parsed = parse_config(args.config.read_text()) if args.config else {}
         cfg = check_config(parsed)
     except (OSError, ConfigError) as exc:

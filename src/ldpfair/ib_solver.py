@@ -33,6 +33,7 @@ from .info_measures import conditional_mi, entropy, mutual_information
 from .ldp_mechanisms import RandomizedResponse, rr_channel
 
 CONSTRAINT_TOL = 1e-6
+TIE_RTOL = 1e-12  # restart objectives this close to the best, relative to max(1, |best|), tie
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class SolverConfig:
             raise PreconditionError(f"beta must be >= 0, got {self.beta}")
         if self.restarts < 1 or self.iterations < 1 or self.learning_rate <= 0 or self.tol <= 0:
             raise PreconditionError("restarts, iterations, learning_rate, tol must be positive")
+        if self.seed < 0:
+            raise PreconditionError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,12 @@ def _log_ratio(p_ax: np.ndarray, channels: np.ndarray) -> tuple[np.ndarray, np.n
     """p(a, z) and log[p(a,z) / (p(a) p(z))], 0 where p(a,z) = 0, for each
     channel p(z|x) in a (B, X, Z) batch, given the table p(a, x)."""
     p_az = p_ax @ channels
+    p_z = p_az[:, 0, :].copy()  # the rows added in order: the bits of p_az.sum(axis=1), in less time
+    for a in range(1, len(p_ax)):
+        p_z += p_az[:, a, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(p_az)
-        log_ratio -= np.log(p_az.sum(axis=1, keepdims=True))
+        log_ratio -= np.log(p_z)[:, None, :]
         log_ratio -= np.log(p_ax.sum(axis=1))[:, None]
     np.copyto(log_ratio, 0.0, where=p_az == 0)
     return p_az, log_ratio
@@ -138,6 +144,14 @@ def _exact_point(
     )
 
 
+def _restart_logits(cfg: SolverConfig, card_x: int, zhat_card: int) -> np.ndarray:
+    """The (restarts, |X|, |Zhat|) starting logits; restart r is seeded by [cfg.seed, r]."""
+    return np.array([
+        np.random.default_rng([cfg.seed, r]).normal(0.0, 1.0, size=(card_x, zhat_card))
+        for r in range(cfg.restarts)
+    ])
+
+
 def _solve(
     src: JointSourceUSX, mech: RandomizedResponse, betas: list[float], cfg: SolverConfig
 ) -> list[FrontierPoint | None]:
@@ -149,7 +163,9 @@ def _solve(
     so each follows the trajectory it would follow alone.  Per beta, the
     restart with the best objective before its last step wins, and the
     point is recomputed from its exact joint; None marks a beta with a
-    non-finite restart.
+    non-finite restart.  Restarts within TIE_RTOL of the best tie, and the
+    lowest of them wins: at eps = 0 every objective is 0 up to rounding,
+    and the choice must not rest on that rounding.
     """
     zhat_card = cfg.zhat_card if cfg.zhat_card is not None else src.card_x
     if zhat_card != mech.k**mech.d:
@@ -159,11 +175,7 @@ def _solve(
         )
     rr_rows = rr_channel(mech).rows
     tables = _tables(src)
-    starts = [
-        np.random.default_rng([cfg.seed, r]).normal(0.0, 1.0, size=(src.card_x, zhat_card))
-        for r in range(cfg.restarts)
-    ]
-    logits = np.tile(starts, (len(betas), 1, 1))
+    logits = np.tile(_restart_logits(cfg, src.card_x, zhat_card), (len(betas), 1, 1))
     row_beta = np.repeat(betas, cfg.restarts)
     weights = np.column_stack([np.ones_like(row_beta), -np.ones_like(row_beta), row_beta])
     last = np.full(len(logits), -np.inf)
@@ -198,7 +210,9 @@ def _solve(
         if not finite[rows].all():
             points.append(None)
             continue
-        best = b * cfg.restarts + int(np.argmax(last[rows]))
+        top = last[rows].max()
+        ties = last[rows] >= top - TIE_RTOL * max(1.0, abs(top))
+        best = b * cfg.restarts + int(np.argmax(ties))  # the first True: the lowest tied restart
         enc = new_channel(_softmax(logits[best]))
         points.append(_exact_point(src, enc, rr_rows, beta, mech.epsilon, bool(converged[best])))
     return points
@@ -260,7 +274,8 @@ _CHUNK = 25_000  # random candidates per drawn and scored batch
 def _batched_mi_terms(probs_2d: np.ndarray, channels: np.ndarray) -> np.ndarray:
     """I(A;Z) for each channel in a (B, X, Z) batch, given p(a, x)."""
     p_az, log_ratio = _log_ratio(probs_2d, channels)
-    return (p_az * log_ratio).sum(axis=(1, 2))
+    log_ratio *= p_az
+    return log_ratio.sum(axis=(1, 2))
 
 
 def solve_G_bruteforce(
@@ -282,6 +297,8 @@ def solve_G_bruteforce(
     card_z = card_z if card_z is not None else src.card_x
     if src.card_x > 4 or card_z > 4:
         raise PreconditionError("oracle regime is |X| <= 4 and |Z| <= 4")
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
     p_ux, p_sx = src.p_ux(), src.p_sx()
     max_util = mutual_information(p_ux)  # identity channel ceiling
     if gamma > max_util + CONSTRAINT_TOL:

@@ -146,6 +146,13 @@ def rr_channel(mech: RandomizedResponse, cap: int = DEFAULT_CHANNEL_CAP) -> Chan
     rows = np.ones((1, 1))
     for _ in range(mech.d):
         rows = np.kron(rows, single)
+    # the smallest entry is flip_prob^d; if that product underflowed (to 0,
+    # or to a subnormal that lost digits), verify_ldp would misjudge the channel
+    smallest = rows.min()
+    if smallest == 0 or abs(math.log(smallest) - mech.d * math.log(mech.flip_prob)) > VERIFY_TOL:
+        raise PreconditionError(
+            f"rr channel entry flip_prob^d underflows float64 at epsilon = {mech.epsilon}, d = {mech.d}"
+        )
     return new_channel(rows)
 
 

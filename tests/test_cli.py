@@ -213,6 +213,26 @@ class TestCommands:
         assert list((tmp_path / "out").iterdir()) == []  # no model, no solution
 
     @pytest.mark.parametrize(
+        "command, text, seed",
+        [
+            ("train", SYNTH_CFG, "-1"),
+            ("solve", "card_x=3\nbeta=1\nepsilon=1\n", "-3"),
+            ("verify", "", "-3"),
+            ("evaluate", SYNTH_CFG + "seeds=0,-1\n", "0"),
+            ("train", SYNTH_CFG.replace("card_x=4", "card_x=4\nsource_seed=-5"), "0"),
+            ("train", SYNTH_CFG + "data_seed=-2\n", "0"),
+        ],
+        ids=["train-seed", "solve-seed", "verify-seed", "evaluate-seeds", "train-source_seed", "train-data_seed"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, text, seed):
+        cfg = write_cfg(tmp_path, text)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", seed])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "must be >= 0" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # rejected before any work, so no artifact
+
+    @pytest.mark.parametrize(
         "line, message",
         [
             ("epochs=one", "must be a number"),

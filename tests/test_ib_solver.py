@@ -151,6 +151,24 @@ class TestSolveG:
         with pytest.raises(PreconditionError):
             solve_g(src, RandomizedResponse(epsilon=1.0, k=4, d=1), FAST)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PreconditionError, match="seed"):
+            SolverConfig(seed=-1)
+
+    @pytest.mark.parametrize("card_x", [3, 4])
+    def test_zero_budget_tie_goes_to_the_first_restart(self, monkeypatch, card_x):
+        # at eps = 0 every objective is 0 up to rounding; the first restart
+        # wins by its position, not by which logits it holds
+        src = random_source(2, 2, card_x, seed=card_x)
+        mech = RandomizedResponse(epsilon=0.0, k=card_x, d=1)
+        cfg = _replace(FAST, restarts=4, iterations=50)
+        betas = [0.01, 0.1, 1.0, 10.0, 100.0]
+        starts = ib_solver._restart_logits(cfg, card_x, card_x)
+        for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
+            monkeypatch.setattr(ib_solver, "_restart_logits", lambda *args: starts[order])
+            for p in trace_frontier(src, mech, betas, cfg):
+                np.testing.assert_allclose(p.encoder.rows, ib_solver._softmax(starts[order[0]]), atol=1e-6)
+
     def test_deterministic_given_seed(self):
         src = random_source(2, 2, 3, seed=4)
         mech = RandomizedResponse(epsilon=1.0, k=3, d=1)
@@ -278,6 +296,11 @@ class TestOraclePipeline:
         assert leak_small == leak
         np.testing.assert_array_equal(ch_small.rows, ch.rows)
 
+    def test_negative_seed_rejected(self):
+        src = random_source(2, 2, 3, seed=0)
+        with pytest.raises(PreconditionError, match="seed"):
+            solve_G_bruteforce(src, 0.0, budget=10_000, seed=-1)
+
     def test_worker_thread_ends(self, monkeypatch):
         src = random_source(2, 2, 3, seed=4)
         cap = mutual_information(src.p_ux())
@@ -303,7 +326,39 @@ class TestOraclePipeline:
         assert threading.active_count() == before
 
 
+def previous_log_ratio(p_ax, channels):
+    """`_log_ratio` as it was written with p(z) = p_az.sum(axis=1)."""
+    p_az = p_ax @ channels
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log(p_az)
+        log_ratio -= np.log(p_az.sum(axis=1, keepdims=True))
+        log_ratio -= np.log(p_ax.sum(axis=1))[:, None]
+    np.copyto(log_ratio, 0.0, where=p_az == 0)
+    return p_az, log_ratio
+
+
 class TestLogRatio:
+    @pytest.mark.parametrize("card_a, card_x, card_z", itertools.product([2, 3, 4], repeat=3))
+    @pytest.mark.parametrize("empty_cell", [False, True])
+    def test_equals_previous_formula_bit_for_bit(self, card_a, card_x, card_z, empty_cell):
+        rng = np.random.default_rng([card_a, card_x, card_z])
+        p_ax = rng.dirichlet(np.ones(card_a * card_x)).reshape(card_a, card_x)
+        if empty_cell:
+            p_ax[0, 0] = 0.0
+            p_ax /= p_ax.sum()
+        # every deterministic channel, then sparse and dense random ones
+        det = np.eye(card_z)[np.array(list(itertools.product(range(card_z), repeat=card_x)))]
+        channels = np.concatenate([det] + [
+            rng.dirichlet(np.full(card_z, alpha), size=(500, card_x)) for alpha in (0.05, 1.0)
+        ])
+        p_az, log_ratio = _log_ratio(p_ax, channels)
+        ref_p_az, ref_log_ratio = previous_log_ratio(p_ax, channels)
+        np.testing.assert_array_equal(p_az, ref_p_az)
+        np.testing.assert_array_equal(log_ratio, ref_log_ratio)
+        np.testing.assert_array_equal(
+            _batched_mi_terms(p_ax, channels), (ref_p_az * ref_log_ratio).sum(axis=(1, 2))
+        )
+
     def test_matches_per_cell_formula_with_zero_cells(self):
         src = random_source(2, 2, 4, seed=6)
         det = np.array([np.eye(4)[list(code)] for code in itertools.product(range(4), repeat=4)])

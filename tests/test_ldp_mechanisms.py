@@ -109,6 +109,17 @@ class TestRandomizedResponse:
         mech = RandomizedResponse(epsilon=1400.0, k=3, d=2)  # e^700 is finite
         assert mech.keep_prob == 1.0 and 0.0 < mech.flip_prob < 1e-300
 
+    @pytest.mark.parametrize("epsilon", [740.0, 1000.0, 1400.0])
+    def test_channel_underflow_rejected(self, epsilon):
+        # flip_prob^2 underflows: to a subnormal that lost digits at 740, to 0 beyond
+        with pytest.raises(PreconditionError, match="underflows"):
+            rr_channel(RandomizedResponse(epsilon=epsilon, k=3, d=2))
+
+    @pytest.mark.parametrize("epsilon, d", [(700.0, 2), (720.0, 2), (709.5, 1)])
+    def test_large_budget_channel_verifies(self, epsilon, d):
+        ratio, ok = verify_ldp(rr_channel(RandomizedResponse(epsilon=epsilon, k=3, d=d)), epsilon)
+        assert ok and ratio == pytest.approx(epsilon, rel=1e-12)
+
     def test_out_of_range_symbol(self):
         mech = RandomizedResponse(epsilon=1.0, k=3, d=1)
         with pytest.raises(PreconditionError):

@@ -580,8 +580,9 @@ def nll_and_grad(logits: np.ndarray, labels: np.ndarray, g: float = 1.0) -> tupl
 
 @dataclass
 class AdamState:
-    """Adam's settings and state.  The moments m and v are flat arrays over
-    the bound parameters, raveled and concatenated in list order; a caller
+    """Adam's settings and state.  The moments m and v have the shape of the
+    array `adam_update` steps: under `adam_step`, the flat buffer over the
+    bound parameters, raveled and concatenated in list order; a caller
     that replaces parameters between steps resizes them to match."""
 
     lr: float = 1e-3
@@ -599,9 +600,7 @@ def _bind(params: list[Tensor], state: AdamState) -> None:
     """Move the parameters' current values into one new flat buffer and make
     each parameter's .data a view into it."""
     size = sum(p.data.size for p in params)
-    if state.m is None:
-        state.m, state.v = np.zeros(size), np.zeros(size)
-    elif state.m.shape != (size,) or state.v.shape != (size,):
+    if state.m is not None and (state.m.shape != (size,) or state.v.shape != (size,)):
         raise DimensionMismatchError(f"adam_step: moments of size {state.m.size} for {size} parameter values")
     state.flat = np.concatenate([p.data.ravel() for p in params])
     state.views = flat_views(params, state.flat)
@@ -609,22 +608,12 @@ def _bind(params: list[Tensor], state: AdamState) -> None:
         p.data = view
 
 
-def adam_step(params: list[Tensor], state: AdamState, grads=None) -> None:
-    """Standard Adam update in place.  grads: one array per parameter, or
-    one flat array over all of them laid out as `flat_views` lays them out;
-    it defaults to each param's .grad."""
-    if isinstance(grads, np.ndarray):
-        if grads.shape != (sum(p.data.size for p in params),):
-            raise DimensionMismatchError(f"adam_step: flat gradient of shape {grads.shape}")
-        g = grads
-    else:
-        if grads is None:
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-        if len(grads) != len(params) or any(g.shape != p.data.shape for g, p in zip(grads, params)):
-            raise DimensionMismatchError("adam_step: gradient shapes do not match parameters")
-        g = np.concatenate([g.ravel() for g in grads])
-    if len(params) != len(state.views) or any(p.data is not v for p, v in zip(params, state.views)):
-        _bind(params, state)
+def adam_update(x: np.ndarray, g: np.ndarray, state: AdamState) -> None:
+    """One standard Adam step on the array x in place, for the gradient g
+    of x's shape.  The moments start as zeros of x's shape; a caller that
+    drops entries of x between steps drops the same entries of m and v."""
+    if state.m is None:
+        state.m, state.v = np.zeros_like(x), np.zeros_like(x)
     state.step += 1
     t = state.step
     m, v = state.m, state.v
@@ -637,7 +626,27 @@ def adam_step(params: list[Tensor], state: AdamState, grads=None) -> None:
     update = m / (1 - state.beta1**t)
     update *= state.lr
     update /= denom
-    state.flat -= update
+    x -= update
+
+
+def adam_step(params: list[Tensor], state: AdamState, grads=None) -> None:
+    """Standard Adam update of the parameters in place, through one flat
+    buffer bound to them.  grads: one array per parameter, or one flat
+    array over all of them laid out as `flat_views` lays them out; it
+    defaults to each param's .grad."""
+    if isinstance(grads, np.ndarray):
+        if grads.shape != (sum(p.data.size for p in params),):
+            raise DimensionMismatchError(f"adam_step: flat gradient of shape {grads.shape}")
+        g = grads
+    else:
+        if grads is None:
+            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+        if len(grads) != len(params) or any(g.shape != p.data.shape for g, p in zip(grads, params)):
+            raise DimensionMismatchError("adam_step: gradient shapes do not match parameters")
+        g = np.concatenate([g.ravel() for g in grads])
+    if len(params) != len(state.views) or any(p.data is not v for p, v in zip(params, state.views)):
+        _bind(params, state)
+    adam_update(state.flat, g, state)
 
 
 # -- checkpointing -----------------------------------------------------------

@@ -69,8 +69,9 @@ KEYS: dict[str, tuple[type, bool]] = {
     # evaluation and reports
     "model": (str, ONE), "seeds": (int, GRID), "sweep": (str, GRID),
 }
-# seeds of numpy generators, which take no negative value
-SEED_KEYS = frozenset({"source_seed", "data_seed", "seeds"})
+# the least value of each bounded int key: seeds of numpy generators take no
+# negative value, and an oracle budget or a source count of 0 checks nothing
+MINIMUMS = {"source_seed": 0, "data_seed": 0, "seeds": 0, "oracle_budget": 1, "verify_sources": 1}
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
 
 _GRID_RE = re.compile(r"^logspace\(\s*(-?[\d.]+)\s*,\s*(-?[\d.]+)\s*,\s*(\d+)\s*\)$")
@@ -136,8 +137,9 @@ def check_config(cfg: dict) -> dict:
     """A typed copy of a parsed config, checked against `KEYS`.
 
     Raises ConfigError on an unknown key (naming the nearest known one), a
-    value that does not cast, a fractional int, a bad bool, a negative seed,
-    or a grid on a one-value key.  A grid key maps to a non-empty list.
+    value that does not cast, a fractional int, a bad bool, a value below
+    its key's `MINIMUMS` entry, or a grid on a one-value key.  A grid key
+    maps to a non-empty list.
     """
     typed = {}
     for key, value in cfg.items():
@@ -155,8 +157,8 @@ def check_config(cfg: dict) -> dict:
             raise ConfigError(f"config key {key!r} takes one value, got the grid {value!r}")
         else:
             typed[key] = _cast(key, value, cast)
-        if key in SEED_KEYS and min(typed[key] if grid else [typed[key]]) < 0:
-            raise ConfigError(f"config key {key!r} must be >= 0, got {value!r}")
+        if key in MINIMUMS and min(typed[key] if grid else [typed[key]]) < MINIMUMS[key]:
+            raise ConfigError(f"config key {key!r} must be >= {MINIMUMS[key]}, got {value!r}")
     return typed
 
 
@@ -310,11 +312,8 @@ def cmd_fetch_data(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> in
 def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     """Run every theory check; exit 0 iff all pass.  The lemmas are checked
     at every epsilon, the bound chain at solve_epsilon and the first beta."""
-    n_sources = cfg.get("verify_sources", 3)
-    if n_sources < 1:  # the lemma checks would pass having checked nothing
-        raise ConfigError(f"config key 'verify_sources' must be >= 1, got {n_sources}")
     checks: dict[str, dict] = {}
-    rng_seeds = [seed + i for i in range(n_sources)]
+    rng_seeds = [seed + i for i in range(cfg.get("verify_sources", 3))]
     check_floor = cfg.get("check_budget_equals_floor", False)
 
     # closure + budget bound over random encoders and RR channels

@@ -8,9 +8,11 @@ over their stacked tables in one pass, one batched Adam ascent runs every
 restart and every beta of a frontier at once, and every reported quantity
 is recomputed exactly.  A brute-force candidate search over raw channels,
 scored by `_log_ratio`, is the independent oracle for min I(S;Z) subject
-to I(U;Z) >= gamma: a worker thread draws random candidates in chunks of
-25k while the calling thread scores the previous chunk, with the same
-candidate stream and first-minimum choice as a serial search.
+to I(U;Z) >= gamma: random candidates come in chunks of 12.5k, each drawn
+from its own spawned seed stream, and up to two worker threads each draw
+and score whole chunks.  The chunks' results are folded in chunk order
+with the first-minimum rule, so the answer equals a serial pass over the
+same chunk streams, whatever the worker count.
 
 Only the discrete randomized-response mechanism is admitted here: it has
 an exact finite channel form, so the theory checks are enumerations, not
@@ -21,6 +23,7 @@ encoder path with estimated information measures.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -183,26 +186,24 @@ def _solve(
     finite = np.ones(len(logits), dtype=bool)
 
     active = np.arange(len(logits))
-    param = ad.parameter(logits.copy())
-    opt = ad.AdamState(lr=cfg.learning_rate)
+    x = logits.copy()  # the running rows' logits
+    opt = ad.AdamState(lr=cfg.learning_rate, m=np.zeros_like(x), v=np.zeros_like(x))
     for _ in range(cfg.iterations):
-        val, grad = _objective_graph(param.data, tables, rr_rows, weights)
+        val, grad = _objective_graph(x, tables, rr_rows, weights)
         bad = ~np.isfinite(val)
         done = bad | (np.abs(val - last[active]) < cfg.tol)
         if done.any():
             finite[active[bad]] = False
             converged[active[done & ~bad]] = True
-            logits[active[done]] = param.data[done]
+            logits[active[done]] = x[done]
             keep = ~done
             active, val, grad, weights = active[keep], val[keep], grad[keep], weights[keep]
-            if opt.m is not None:  # Adam's flat moments, in the parameter's layout
-                opt.m, opt.v = (a.reshape(param.data.shape)[keep].ravel() for a in (opt.m, opt.v))
-            param = ad.parameter(param.data[keep])
+            x, opt.m, opt.v = x[keep], opt.m[keep], opt.v[keep]
             if not active.size:
                 break
         last[active] = val
-        ad.adam_step([param], opt, grads=-grad.ravel())  # ascent
-    logits[active] = param.data
+        ad.adam_update(x, -grad, opt)  # ascent
+    logits[active] = x
 
     points = []
     for b, beta in enumerate(betas):
@@ -268,7 +269,11 @@ def check_theorem1(pt: FrontierPoint, gamma: float, tol: float = 1e-6) -> tuple[
 # -- brute-force oracle ------------------------------------------------------
 
 _CONCENTRATIONS = (0.05, 0.2, 1.0, 5.0)  # Dirichlet concentrations of the random candidates
-_CHUNK = 25_000  # random candidates per drawn and scored batch
+_CHUNK = 12_500  # random candidates per drawn and scored chunk
+# Threads that draw and score chunks: the usable cores, at most 2.  Draws
+# take about 70% of the oracle's CPU, and two workers were measured on a
+# 2-core box; more than 2 is unmeasured.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _batched_mi_terms(probs_2d: np.ndarray, channels: np.ndarray) -> np.ndarray:
@@ -287,62 +292,65 @@ def solve_G_bruteforce(
     channels at several concentrations; intended for |X| <= 4, |Z| <= 4
     where the candidate cloud covers the feasible set densely.
 
-    The random candidates come in chunks of _CHUNK.  One worker thread
-    draws chunk k + 1 while this thread scores chunk k; the worker makes
-    the same ``rng.dirichlet`` calls in the same order as a serial loop,
-    and a split draw equals an unsplit one, so the candidate stream does
-    not depend on the chunking.  A later candidate replaces the best only
-    if its leakage is strictly lower, so the first minimum wins.
+    The random candidates come in chunks of _CHUNK, concentration by
+    concentration.  Chunk c draws from its own stream, child c of
+    ``SeedSequence(seed).spawn``; a spawned child appends its spawn key
+    after the padded entropy, so no chunk stream equals a solver
+    restart's ``default_rng([seed, r])``.  _WORKERS threads each draw and
+    score whole chunks, and the chunks' best candidates are folded in
+    chunk order after the deterministic channels.  A later candidate
+    replaces the best only if its leakage is strictly lower, so the first
+    minimum wins and the answer does not depend on the worker count.
     """
     card_z = card_z if card_z is not None else src.card_x
     if src.card_x > 4 or card_z > 4:
         raise PreconditionError("oracle regime is |X| <= 4 and |Z| <= 4")
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
+    if budget < 1:
+        raise PreconditionError(f"budget must be >= 1, got {budget}")
     p_ux, p_sx = src.p_ux(), src.p_sx()
     max_util = mutual_information(p_ux)  # identity channel ceiling
     if gamma > max_util + CONSTRAINT_TOL:
         raise InfeasibleGammaError(
             f"gamma = {gamma:g} exceeds the maximum achievable I(U;Z) = {max_util:g}"
         )
-    rng = np.random.default_rng(seed)
 
-    best_leak = np.inf
-    best_channel = None
-
-    def consider(channels: np.ndarray) -> None:
-        nonlocal best_leak, best_channel
+    def best(channels: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """The lowest leakage among the feasible channels, and the first channel reaching it."""
         util = _batched_mi_terms(p_ux, channels)
         feasible = channels[util >= gamma - CONSTRAINT_TOL]
         if not len(feasible):
-            return
+            return np.inf, None
         leak = _batched_mi_terms(p_sx, feasible)
         i = int(np.argmin(leak))
-        if leak[i] < best_leak:
-            best_leak = float(leak[i])
-            best_channel = feasible[i].copy()  # not a view pinning the batch
+        return float(leak[i]), feasible[i].copy()  # not a view pinning the chunk
 
     # all deterministic channels (at most 4**4): channel i sends x to digit x of i in base card_z
     det = np.eye(card_z)[np.arange(card_z**src.card_x)[:, None] // card_z ** np.arange(src.card_x) % card_z]
 
     per_conc = max(budget - len(det), 0) // len(_CONCENTRATIONS)
-    draws = [
+    chunks = [
         (alpha, min(_CHUNK, per_conc - done))
         for alpha in _CONCENTRATIONS
         for done in range(0, per_conc, _CHUNK)
     ]
+    streams = np.random.SeedSequence(seed).spawn(len(chunks))
 
-    def draw(alpha: float, size: int) -> np.ndarray:
-        return rng.dirichlet(np.full(card_z, alpha), size=(size, src.card_x))
+    def job(c: int) -> tuple[float, np.ndarray | None]:
+        alpha, size = chunks[c]
+        rng = np.random.default_rng(streams[c])
+        return best(rng.dirichlet(np.full(card_z, alpha), size=(size, src.card_x)))
 
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        futures = (worker.submit(draw, *d) for d in draws)  # each submitted when taken
-        pending = next(futures, None)
-        consider(det)
-        while pending is not None:
-            channels = pending.result()
-            pending = next(futures, None)
-            consider(channels)
+    best_leak, best_channel = best(det)
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        try:
+            for leak, channel in pool.map(job, range(len(chunks))):
+                if leak < best_leak:
+                    best_leak, best_channel = leak, channel
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # the chunks not yet started never run
+            raise
 
     if best_channel is None:
         raise InfeasibleGammaError(

@@ -189,7 +189,20 @@ class TestCommands:
         cfg = write_cfg(tmp_path, "card_x=3\nrestarts=2\niterations=50\nverify_sources=0\n")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "config key 'verify_sources' must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "verify.json").exists()
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_oracle_budget_below_one_exits_2(self, tmp_path, capsys, budget):
+        # a budget below the deterministic channels' count searched those alone
+        # and reported their leakage as a failed theory check
+        cfg = write_cfg(
+            tmp_path, f"card_x=3\nrestarts=2\niterations=50\ncheck_budget_equals_floor=true\n"
+            f"gamma=0.05\noracle_budget={budget}\n",
+        )
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key 'oracle_budget' must be >= 1, got {budget}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # rejected before any work
 
     @pytest.mark.parametrize(
         "command, mechanism, epsilon",

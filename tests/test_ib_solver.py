@@ -259,13 +259,15 @@ class TestBruteForceOracle:
 
 def serial_oracle(src, gamma, budget, seed):
     """The oracle's search written as one serial pass: every deterministic
-    channel, then one unchunked Dirichlet draw per concentration."""
+    channel, then each chunk drawn in order from its own spawned stream."""
     k = src.card_x
     # channel i sends x to digit x of i in base k, as the oracle enumerates them
     det = np.array([np.eye(k)[list(code[::-1])] for code in itertools.product(range(k), repeat=k)])
-    rng = np.random.default_rng(seed)
     per_conc = (budget - len(det)) // 4
-    draws = [rng.dirichlet(np.full(k, a), size=(per_conc, k)) for a in (0.05, 0.2, 1.0, 5.0)]
+    sizes = [(a, min(ib_solver._CHUNK, per_conc - done))
+             for a in (0.05, 0.2, 1.0, 5.0) for done in range(0, per_conc, ib_solver._CHUNK)]
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    draws = [np.random.default_rng(st).dirichlet(np.full(k, a), size=(n, k)) for st, (a, n) in zip(streams, sizes)]
     cands = np.concatenate([det] + draws)
     feasible = cands[_batched_mi_terms(src.p_ux(), cands) >= gamma - 1e-6]
     leak = _batched_mi_terms(src.p_sx(), feasible)
@@ -274,7 +276,7 @@ def serial_oracle(src, gamma, budget, seed):
 
 
 class TestOraclePipeline:
-    # 57k candidates per concentration: three chunks each, the last one partial
+    # 57k candidates per concentration: five chunks each, the last one partial
     BUDGET = 230_000
 
     # at gamma = 0 every constant channel leaks nothing: a tie the first one wins
@@ -287,19 +289,39 @@ class TestOraclePipeline:
         assert leak == ref_leak
         np.testing.assert_array_equal(ch.rows, ref_ch)
 
-    def test_chunk_size_does_not_matter(self, monkeypatch):
+    def test_worker_count_does_not_matter(self, monkeypatch):
         src = random_source(2, 2, 4, seed=3)
         gamma = 0.5 * mutual_information(src.p_ux())
-        leak, ch = solve_G_bruteforce(src, gamma, budget=self.BUDGET, seed=0)
-        monkeypatch.setattr(ib_solver, "_CHUNK", 7_001)  # divides no per-concentration count here
-        leak_small, ch_small = solve_G_bruteforce(src, gamma, budget=self.BUDGET, seed=0)
-        assert leak_small == leak
-        np.testing.assert_array_equal(ch_small.rows, ch.rows)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ib_solver, "_WORKERS", workers)
+            results.append(solve_G_bruteforce(src, gamma, budget=self.BUDGET, seed=0))
+        for leak, ch in results[1:]:
+            assert leak == results[0][0]
+            np.testing.assert_array_equal(ch.rows, results[0][1].rows)
+
+    @pytest.mark.parametrize("seed", [0, 5, 12345])
+    def test_chunk_streams_apart_from_solver_restarts(self, seed):
+        # restart r of the solver draws from default_rng([seed, r]); SeedSequence
+        # pads its entropy with zeros, so default_rng(seed) is restart 0's stream
+        restarts = {tuple(np.random.SeedSequence([seed, r]).generate_state(8)) for r in range(8)}
+        per_conc = (1_000_000 - 4**4) // 4
+        n_chunks = 4 * -(-per_conc // ib_solver._CHUNK)
+        # the oracle draws from these streams (test_equals_serial_search)
+        for stream in np.random.SeedSequence(seed).spawn(n_chunks):
+            assert tuple(stream.generate_state(8)) not in restarts
 
     def test_negative_seed_rejected(self):
         src = random_source(2, 2, 3, seed=0)
         with pytest.raises(PreconditionError, match="seed"):
             solve_G_bruteforce(src, 0.0, budget=10_000, seed=-1)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        # a budget below the deterministic channels' count would search those alone
+        src = random_source(2, 2, 3, seed=0)
+        with pytest.raises(PreconditionError, match="budget"):
+            solve_G_bruteforce(src, 0.05, budget=budget, seed=0)
 
     def test_worker_thread_ends(self, monkeypatch):
         src = random_source(2, 2, 3, seed=4)
@@ -312,18 +334,42 @@ class TestOraclePipeline:
             solve_G_bruteforce(src, cap, budget=60_000, seed=0, card_z=2)
         assert threading.active_count() == before
 
-        calls = []
+    @pytest.mark.parametrize("where", ["draw", "scorer"])
+    def test_failure_stops_the_search(self, monkeypatch, where):
+        # 500k candidates make 40 chunks; the third draw or the fifth scoring call fails
+        src = random_source(2, 2, 3, seed=4)
+        budget = 500_000
+        n_chunks = 4 * -(-((budget - 27) // 4) // ib_solver._CHUNK)
+        lock, draws, calls, at_failure = threading.Lock(), [], [], []
+        default_rng, mi_terms = np.random.default_rng, ib_solver._batched_mi_terms
 
-        def failing(probs, channels):
-            calls.append(len(channels))
-            if len(calls) == 3:
-                raise RuntimeError("scoring failed")
-            return _batched_mi_terms(probs, channels)
+        def fail_if(hit):
+            if hit:
+                at_failure.append(len(calls))
+                raise RuntimeError(f"{where} failed")
 
-        monkeypatch.setattr(ib_solver, "_batched_mi_terms", failing)
-        with pytest.raises(RuntimeError, match="scoring failed"):
-            solve_G_bruteforce(src, 0.5 * cap, budget=60_000, seed=0)
+        def drawing(stream):
+            with lock:
+                draws.append(stream)
+                fail_if(where == "draw" and len(draws) == 3)
+            return default_rng(stream)
+
+        def scoring(probs, channels):
+            with lock:
+                calls.append(len(channels))
+                fail_if(where == "scorer" and len(calls) == 5)
+            return mi_terms(probs, channels)
+
+        monkeypatch.setattr(np.random, "default_rng", drawing)
+        monkeypatch.setattr(ib_solver, "_batched_mi_terms", scoring)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            solve_G_bruteforce(src, 0.5 * mutual_information(src.p_ux()), budget=budget, seed=0)
         assert threading.active_count() == before
+        # the chunks already running may finish; the pending ones never start
+        assert len(at_failure) == 1
+        assert len(draws) <= n_chunks // 4
+        assert len(calls) - at_failure[0] <= 2 * (n_chunks // 4)  # at most two scoring calls a chunk
 
 
 def previous_log_ratio(p_ax, channels):

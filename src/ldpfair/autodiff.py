@@ -111,11 +111,13 @@ def _softmax_fwd(z, out=None):
     return out
 
 
-def log_softmax_kernel(a):
-    """Log-softmax over the last axis."""
-    shifted = a - a.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return shifted - lse
+def log_softmax_kernel(a, amax=None):
+    """Log-softmax over the last axis.  amax: a's maximum over that axis,
+    with keepdims, when the caller has it; a maximum has the same bits
+    whatever order it is taken in."""
+    shifted = a - (a.max(axis=-1, keepdims=True) if amax is None else amax)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def log_softmax_grad(g, y):
@@ -566,13 +568,26 @@ def nll_and_grad(logits: np.ndarray, labels: np.ndarray, g: float = 1.0) -> tupl
     """The mean negative log-likelihood of the labels under a softmax of
     the logits, and the gradient on the logits of g times that mean: the
     float operations of the taped `mean(mul(-1, pick(log_softmax(logits),
-    labels)))` run backward from an upstream gradient g."""
-    logp = log_softmax_kernel(logits)
+    labels)))` run backward from an upstream gradient g.  It skips the
+    tape's class-axis reductions that the bits do not need: the row
+    maximum is taken column by column, and the tape's row sum of `picked`
+    (zero but for pick = -g / rows at each label) is pick exactly, so the
+    gradient is exp(logp) * -pick with pick added at each label.  For
+    g > 0 it equals the tape's bit for bit; for g <= 0 an entry whose exp
+    underflows to 0 may be a zero of the other sign.  The sum inside the
+    log-sum-exp stays numpy's, whose bits depend on the order of its
+    adds."""
+    amax = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(amax, logits[:, j], out=amax)
+    logp = log_softmax_kernel(logits, amax[:, None])
     rows = np.arange(logp.shape[0])
     nll = float((-1.0 * logp[rows, labels]).mean())
-    picked = np.zeros_like(logp)
-    picked[rows, labels] = (float(g) / logp.shape[0]) * -1.0
-    return nll, log_softmax_grad(picked, logp)
+    pick = (float(g) / logp.shape[0]) * -1.0
+    grad = np.exp(logp)
+    grad *= -pick
+    grad[rows, labels] += pick
+    return nll, grad
 
 
 # -- Adam --------------------------------------------------------------------
@@ -661,7 +676,8 @@ def save_checkpoint(path: str | Path, meta: dict, arrays: dict[str, np.ndarray])
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """(meta, arrays) of a `save_checkpoint` file; DatasetError if the file
-    is not a readable checkpoint archive of this version."""
+    is not a readable checkpoint archive of this version, or if a float
+    array holds a NaN or an infinity."""
     try:
         f = np.load(path)
         if not isinstance(f, np.lib.npyio.NpzFile):  # a bare .npy array
@@ -675,4 +691,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise DatasetError(
             f"{path}: unsupported checkpoint version {meta.get('checkpoint_version')!r}"
         )
+    for name, a in arrays.items():
+        if a.dtype.kind in "fc" and not np.isfinite(a).all():
+            raise DatasetError(f"{path}: array {name!r} has a non-finite entry")
     return meta, arrays

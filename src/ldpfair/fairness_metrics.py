@@ -82,15 +82,23 @@ def train_downstream(
 ) -> DownstreamClassifier:
     """Fit a 1-hidden-layer (100-unit) MLP with Adam on a seeded split.
 
-    The reported accuracy is on the held-out fraction.  Constant labels
-    are not an error here: the classifier is trivially perfect and the
-    result is flagged degenerate so callers can discount it.  Each
-    minibatch's mean negative log-likelihood is differentiated by
-    `autodiff.MlpPass` into one flat gradient buffer for Adam, bit for bit
-    the gradient the tape would give.
+    The labels are class indices 0, 1, ...: whole numbers, ints or floats
+    such as 0.0 and 1.0, and never negative; anything else raises
+    PreconditionError.  The reported accuracy is on the held-out
+    fraction.  Constant labels are not an error here: the classifier is
+    trivially perfect and the result is flagged degenerate so callers can
+    discount it.  Each minibatch's mean negative log-likelihood is
+    differentiated by `autodiff.MlpPass` into one flat gradient buffer for
+    Adam, bit for bit the gradient the tape would give, and the held-out
+    predictions come from the same pass's forward.
     """
     z = np.atleast_2d(np.asarray(representations, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.intp).reshape(-1)
+    raw = np.asarray(labels).reshape(-1)
+    if raw.dtype.kind == "f" and not (np.isfinite(raw).all() and (raw == np.round(raw)).all()):
+        raise PreconditionError("train_downstream: labels must be whole numbers")
+    y = raw.astype(np.intp)
+    if y.size and y.min() < 0:
+        raise PreconditionError(f"train_downstream: negative label {y.min()}")
     if z.shape[0] != y.size:
         raise PreconditionError("train_downstream: representation/label counts disagree")
     if z.shape[0] < 10:
@@ -117,13 +125,13 @@ def train_downstream(
             _, g = ad.nll_and_grad(mlp.forward(z[sel]), y[sel])
             mlp.backward(g, views)
             ad.adam_step(params, opt, grad)
-    preds = np.argmax(net(ad.Tensor(z[te])).data, axis=1)
+    preds = np.argmax(mlp.forward(z[te]), axis=1)
     return DownstreamClassifier(net=net, accuracy=float((preds == y[te]).mean()))
 
 
 def sensitive_accuracy(representations, s, seed: int) -> float:
     """Held-out accuracy of an attacker predicting s from representations."""
-    sv = np.asarray(s, dtype=np.intp).reshape(-1)
+    sv = np.asarray(s).reshape(-1)
     if np.unique(sv).size < 2:
         raise PreconditionError("sensitive_accuracy: s takes a single value")
     return train_downstream(representations, sv, seed).accuracy

@@ -99,9 +99,13 @@ def plugin_mi(samples_a, samples_b, card_a=None, card_b=None, smoothing: float =
 
 # -- known-noise mixture -----------------------------------------------------
 
-# pair entries held at once by laplace_mixture_mi: 2 MB of float64 per
-# block, whatever the sample count
+# rows whose terms laplace_mixture_mi sums together before adding the group
+# to its running total: max(1, _PAIR_BUDGET // n).  The grouping is part of
+# the estimate's bits, so it stays that of the former 2^18-pair blocks.
 _PAIR_BUDGET = 2**18
+# pair entries in each of laplace_mixture_mi's two scratch arrays: 512 KiB
+# of float64, so both fit a 2 MiB per-core L2 cache together
+_BLOCK_PAIRS = 2**16
 
 
 def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
@@ -117,8 +121,14 @@ def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
 
     This is the sample-propagation estimator of Goldfeld et al.,
     "Estimating Information Flow in Deep Neural Networks" (ICML 2019).  It
-    needs no training and is deterministic; it costs O(n^2 d) time in row
-    blocks of about _PAIR_BUDGET pairs, so its memory does not grow with n.
+    needs no training and is deterministic.  It costs O(n^2 d) time, in
+    row blocks of about _BLOCK_PAIRS pairs computed on two scratch arrays
+    made once per call: 512 KiB each, so the log-kernel and its
+    exponential stay in a 2 MiB L2 cache instead of going through memory.
+    Its memory is those two arrays plus O(n d), about 1.5 MiB at n = 8000
+    (n above _BLOCK_PAIRS makes one-row blocks of n pairs).  Block size
+    does not change the result: each row's term is computed on its own,
+    and the terms are summed in groups of _PAIR_BUDGET // n rows.
     Each mixture is an unbiased density estimate, but its log is biased
     low, the conditional's more (it averages fewer components); the net
     bias is small and downward, largest when the noise is narrow next to
@@ -137,6 +147,9 @@ def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
         raise PreconditionError(f"laplace_mixture_mi: {labels.size} labels for {c.shape[0]} rows")
     if not (np.isfinite(scale) and scale > 0):
         raise PreconditionError(f"laplace_mixture_mi: scale must be finite and > 0, got {scale}")
+    for name, a in (("clean", c), ("noisy", z)):
+        if not np.isfinite(a).all():
+            raise PreconditionError(f"laplace_mixture_mi: {name} has a non-finite entry")
     classes, counts = np.unique(labels, return_counts=True)
     if classes.size < 2 or counts.min() < 2:
         raise PreconditionError(
@@ -149,14 +162,18 @@ def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
     c, z, labels = c[order], z[order], labels[order]
     bounds = np.concatenate([[0], np.cumsum(counts)])
     n = c.shape[0]
-    rows_per_block = max(1, _PAIR_BUDGET // n)
-    total = 0.0
-    for lo in range(0, n, rows_per_block):
-        hi = min(n, lo + rows_per_block)
+    own = np.searchsorted(classes, labels)
+    step = max(1, _BLOCK_PAIRS // n)
+    logk_buf, work_buf = np.empty(step * n), np.empty(step * n)
+    terms = np.empty(n)  # log p(z_j | s_j) - log p(z_j), row by row
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
         # log-kernel up to the constant -d log(2b), which cancels in the ratio
-        logk = np.abs(z[lo:hi, 0:1] - c[:, 0])
+        logk = logk_buf[: (hi - lo) * n].reshape(hi - lo, n)
+        work = work_buf[: (hi - lo) * n].reshape(hi - lo, n)
+        np.abs(np.subtract(z[lo:hi, 0:1], c[:, 0], out=logk), out=logk)
         for k in range(1, c.shape[1]):
-            logk += np.abs(z[lo:hi, k : k + 1] - c[:, k])
+            logk += np.abs(np.subtract(z[lo:hi, k : k + 1], c[:, k], out=work), out=work)
         logk *= -1.0 / scale
         rows = np.arange(hi - lo)
         logk[rows, lo + rows] = -np.inf  # leave one out
@@ -165,12 +182,17 @@ def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
         for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             block = logk[:, a:b]
             shift = block.max(axis=1, keepdims=True)
-            per_class[:, m] = np.log(np.exp(block - shift).sum(axis=1)) + shift[:, 0]
-        own = np.searchsorted(classes, labels[lo:hi])
-        log_cond = per_class[rows, own] - np.log(counts[own] - 1)
+            e = work_buf[: (hi - lo) * (b - a)].reshape(hi - lo, b - a)
+            np.exp(np.subtract(block, shift, out=e), out=e)
+            per_class[:, m] = np.log(e.sum(axis=1)) + shift[:, 0]
+        log_cond = per_class[rows, own[lo:hi]] - np.log(counts[own[lo:hi]] - 1)
         shift = per_class.max(axis=1, keepdims=True)
         log_marg = np.log(np.exp(per_class - shift).sum(axis=1)) + shift[:, 0] - np.log(n - 1)
-        total += float((log_cond - log_marg).sum())
+        np.subtract(log_cond, log_marg, out=terms[lo:hi])
+    group = max(1, _PAIR_BUDGET // n)
+    total = 0.0
+    for lo in range(0, n, group):
+        total += float(terms[lo : lo + group].sum())
     return total / n
 
 

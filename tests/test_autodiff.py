@@ -234,6 +234,27 @@ class TestMlpPass:
         assert nll == float(loss.data)
         assert np.array_equal(g, t.grad)
 
+    @pytest.mark.parametrize("classes", [2, 3, 5, 9, 12])
+    @pytest.mark.parametrize("batch", ["mixed", "one-label", "saturated"])
+    def test_nll_and_grad_equals_tape_on_every_width(self, classes, batch):
+        # bit for bit, signed zeros included; "saturated" rows have logits
+        # of magnitude 800, whose other classes' exp underflows to 0
+        rng = np.random.default_rng(classes)
+        logits = 3.0 * rng.normal(size=(37, classes))
+        labels = rng.integers(0, classes, 37)
+        if batch == "one-label":
+            labels[:] = classes - 1
+        elif batch == "saturated":
+            logits[::2] = 800.0 * np.sign(rng.normal(size=(19, classes)))
+            logits[1::4, 0] = -800.0
+        for g in (1.0, 0.37):
+            t = ad.parameter(logits)
+            loss = ad.mean(ad.mul(ad.Tensor(-1.0), ad.pick(ad.log_softmax(t), labels)))
+            ad.backward(ad.mul(ad.Tensor(g), loss))
+            nll, grad = ad.nll_and_grad(logits, labels, g)
+            assert nll == float(loss.data)
+            assert np.array_equal(grad.view(np.int64), t.grad.view(np.int64))
+
     def test_flat_views_layout(self):
         params = [ad.parameter(np.zeros((2, 3))), ad.parameter(np.zeros(4))]
         flat = np.arange(10.0)
@@ -436,4 +457,13 @@ class TestCheckpoint:
             path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), w=np.zeros(2)
         )
         with pytest.raises(DatasetError, match="version 999"):
+            ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, tmp_path, bad):
+        path = tmp_path / "ck.npz"
+        w = np.zeros((3, 2))
+        w[1, 0] = bad
+        ad.save_checkpoint(path, {}, {"b": np.zeros(2), "w": w, "order": np.arange(3)})
+        with pytest.raises(DatasetError, match=r"ck\.npz.*'w'"):
             ad.load_checkpoint(path)

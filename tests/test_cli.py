@@ -369,6 +369,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
 
+    def test_non_finite_checkpoint_exits_4(self, tmp_path, capsys):
+        from ldpfair import autodiff as ad
+
+        cfg = write_cfg(tmp_path, SYNTH_CFG)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "model.npz"
+        meta, arrays = ad.load_checkpoint(path)
+        arrays["p0"][0, 0] = np.nan
+        ad.save_checkpoint(path, meta, arrays)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert str(path) in err and "'p0'" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.filterwarnings("ignore:compas")  # the fixture's row count and P(U=1) differ
     def test_compas_non_integer_label_exits_4(self, tmp_path, capsys):
         lines = (Path(__file__).parent / "data" / "compas.csv").read_text().splitlines()

@@ -85,6 +85,24 @@ class TestDownstream:
         with pytest.raises(PreconditionError):
             train_downstream(np.zeros((5, 2)), np.zeros(5, dtype=int), seed=0)
 
+    def test_negative_or_fractional_labels_rejected(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(60, 2))
+        y = (z[:, 0] > 0).astype(int)
+        with pytest.raises(PreconditionError, match="negative"):
+            train_downstream(z, y - 1, seed=0)
+        for bad in (0.7 * y, np.where(y == 1, np.nan, 0.0), np.where(y == 1, np.inf, 0.0)):
+            with pytest.raises(PreconditionError, match="whole numbers"):
+                train_downstream(z, bad, seed=0)
+
+    def test_whole_float_labels_accepted(self):
+        rng = np.random.default_rng(4)
+        z = rng.normal(size=(60, 2))
+        y = (z[:, 0] > 0).astype(int)
+        as_float = train_downstream(z, y.astype(float), seed=0)
+        assert as_float.accuracy == train_downstream(z, y, seed=0).accuracy
+        assert not as_float.degenerate
+
     @pytest.mark.parametrize("classes", [2, 3])
     def test_equals_taped_training(self, classes):
         # the same seeded split, minibatches and Adam steps, differentiated

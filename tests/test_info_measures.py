@@ -219,6 +219,52 @@ def _finite_support_draw(points, p_sc, scale, n, seed):
     return clean, s, noisy
 
 
+def _previous_laplace_mixture_mi(clean, s, noisy, scale):
+    """The estimator's former formula, kept to pin its bits: blocks of
+    2^18 pairs, each step on a fresh array, each block's terms summed and
+    added to the running total in order."""
+    c, z = np.asarray(clean, dtype=np.float64), np.asarray(noisy, dtype=np.float64)
+    c = c.reshape(-1, 1) if c.ndim == 1 else c
+    z = z.reshape(-1, 1) if z.ndim == 1 else z
+    labels = np.asarray(s).reshape(-1)
+    classes, counts = np.unique(labels, return_counts=True)
+    order = np.argsort(labels, kind="stable")
+    c, z, labels = c[order], z[order], labels[order]
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    n = c.shape[0]
+    rows_per_block = max(1, 2**18 // n)
+    total = 0.0
+    for lo in range(0, n, rows_per_block):
+        hi = min(n, lo + rows_per_block)
+        logk = np.abs(z[lo:hi, 0:1] - c[:, 0])
+        for k in range(1, c.shape[1]):
+            logk += np.abs(z[lo:hi, k : k + 1] - c[:, k])
+        logk *= -1.0 / scale
+        rows = np.arange(hi - lo)
+        logk[rows, lo + rows] = -np.inf
+        per_class = np.empty((hi - lo, classes.size))
+        for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            block = logk[:, a:b]
+            shift = block.max(axis=1, keepdims=True)
+            per_class[:, m] = np.log(np.exp(block - shift).sum(axis=1)) + shift[:, 0]
+        own = np.searchsorted(classes, labels[lo:hi])
+        log_cond = per_class[rows, own] - np.log(counts[own] - 1)
+        shift = per_class.max(axis=1, keepdims=True)
+        log_marg = np.log(np.exp(per_class - shift).sum(axis=1)) + shift[:, 0] - np.log(n - 1)
+        total += float((log_cond - log_marg).sum())
+    return total / n
+
+
+def _mixture_draw(n, d, classes, scale, seed):
+    """Clean vectors uniform on [-1/2, 1/2]^d shifted by 0.2 s, s uniform
+    over the classes (each at least twice), and one Laplace noise draw."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, classes, n)
+    s[: 2 * classes] = np.arange(2 * classes) % classes
+    clean = rng.uniform(-0.5, 0.5, size=(n, d)) + 0.2 * s[:, None]
+    return clean, s, clean + rng.laplace(0.0, scale, size=(n, d))
+
+
 class TestLaplaceMixture:
     # Over 40 noise seeds at n = 4000 the estimate's error against the
     # quadrature truth had standard deviation 0.0025 (d = 1) and 0.0031
@@ -270,6 +316,47 @@ class TestLaplaceMixture:
         assert laplace_mixture_mi(clean[perm], s[perm], noisy[perm], scale) == pytest.approx(ref, abs=1e-12)
         monkeypatch.setattr(im, "_PAIR_BUDGET", 7 * s.size)
         assert laplace_mixture_mi(clean, s, noisy, scale) == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, d, classes, scale, block_pairs",
+        [
+            (50, 1, 3, 1e-3, None),  # one block holds every row
+            (999, 2, 2, 0.05, None),  # 65-row blocks, the last one short
+            (3001, 3, 3, 0.7, None),
+            (2000, 2, 2, 0.3, None),
+            (2000, 1, 2, 0.3, 1999),  # one row per block, as for n > 2^16
+            (1500, 3, 3, 0.1, 7 * 1500 + 3),  # 7-row blocks
+        ],
+    )
+    def test_equals_previous_formula_bit_for_bit(self, monkeypatch, n, d, classes, scale, block_pairs):
+        from ldpfair import info_measures as im
+
+        clean, s, noisy = _mixture_draw(n, d, classes, scale, seed=n + d)
+        if block_pairs is not None:
+            monkeypatch.setattr(im, "_BLOCK_PAIRS", block_pairs)
+        got = laplace_mixture_mi(clean, s, noisy, scale)
+        assert got.hex() == _previous_laplace_mixture_mi(clean, s, noisy, scale).hex()
+
+    @pytest.mark.parametrize("n", [4000, 8000])
+    def test_memory_stays_under_two_mib(self, n):
+        import tracemalloc
+
+        clean, s, noisy = _mixture_draw(n, 2, 2, 0.1, seed=n)
+        tracemalloc.start()
+        try:
+            laplace_mixture_mi(clean, s, noisy, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # the former 2^18-pair blocks peaked at 8.1 MiB
+
+    @pytest.mark.parametrize("which", ["clean", "noisy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, which, bad):
+        clean, s, noisy = _mixture_draw(40, 2, 2, 0.3, seed=1)
+        (clean if which == "clean" else noisy)[3, 1] = bad
+        with pytest.raises(PreconditionError, match=which):
+            laplace_mixture_mi(clean, s, noisy, 0.3)
 
     def test_large_noise_is_near_zero(self):
         points, p_sc, _, _ = self.CASES["d1"]

@@ -20,6 +20,7 @@ import csv
 import difflib
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -72,6 +73,9 @@ KEYS: dict[str, tuple[type, bool]] = {
 # the least value of each bounded int key: seeds of numpy generators take no
 # negative value, and an oracle budget or a source count of 0 checks nothing
 MINIMUMS = {"source_seed": 0, "data_seed": 0, "seeds": 0, "oracle_budget": 1, "verify_sources": 1}
+# float keys that must be finite and > 0: a utility floor of 0 or below
+# checks nothing, and a NaN or an infinite one reaches no comparison
+POSITIVE = ("gamma",)
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
 
 _GRID_RE = re.compile(r"^logspace\(\s*(-?[\d.]+)\s*,\s*(-?[\d.]+)\s*,\s*(\d+)\s*\)$")
@@ -138,7 +142,8 @@ def check_config(cfg: dict) -> dict:
 
     Raises ConfigError on an unknown key (naming the nearest known one), a
     value that does not cast, a fractional int, a bad bool, a value below
-    its key's `MINIMUMS` entry, or a grid on a one-value key.  A grid key
+    its key's `MINIMUMS` entry, a `POSITIVE` key's value that is not finite
+    and > 0, or a grid on a one-value key.  A grid key
     maps to a non-empty list.
     """
     typed = {}
@@ -159,6 +164,8 @@ def check_config(cfg: dict) -> dict:
             typed[key] = _cast(key, value, cast)
         if key in MINIMUMS and min(typed[key] if grid else [typed[key]]) < MINIMUMS[key]:
             raise ConfigError(f"config key {key!r} must be >= {MINIMUMS[key]}, got {value!r}")
+        if key in POSITIVE and not 0 < typed[key] < math.inf:
+            raise ConfigError(f"config key {key!r} must be finite and > 0, got {value!r}")
     return typed
 
 

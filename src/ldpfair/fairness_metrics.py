@@ -72,10 +72,6 @@ class DownstreamClassifier:
     accuracy: float
     degenerate: bool = False  # single-class labels: accuracy 1 is trivial
 
-    def predict(self, representations: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(representations, dtype=np.float64))
-        return np.argmax(self.net(ad.Tensor(z)).data, axis=1)
-
 
 def train_downstream(
     representations, labels, seed: int, test_fraction: float = 0.3

@@ -6,11 +6,15 @@ gradient have a closed form in the induced joint (log-ratio terms, as in
 the information bottleneck): one kernel weighs I(X;Z), I(S;Z) and I(U;Z)
 over their stacked tables in one pass, one batched Adam ascent runs every
 restart and every beta of a frontier at once, and every reported quantity
-is recomputed exactly.  A brute-force candidate search over raw channels,
-scored by `_log_ratio`, is the independent oracle for min I(S;Z) subject
-to I(U;Z) >= gamma: random candidates come in chunks of 12.5k, each drawn
-from its own spawned seed stream, and up to two worker threads each draw
-and score whole chunks.  The chunks' results are folded in chunk order
+is recomputed exactly.  A brute-force candidate search over raw channels
+is the independent oracle for min I(S;Z) subject to I(U;Z) >= gamma:
+random candidates come in chunks of 12.5k, each drawn from its own
+spawned seed stream, and up to two worker threads each draw and score
+whole chunks.  `_batched_mi_terms` scores a chunk with the candidate axis
+innermost, in the (A, Z, B) layout: one matrix product gives p(a, z) for
+every candidate, and the I(A;Z) terms are formed in place and folded over
+(a, z) in numpy's pairwise order, so every score has the bits of the
+former (B, A, Z) formula.  The chunks' results are folded in chunk order
 with the first-minimum rule, so the answer equals a serial pass over the
 same chunk streams, whatever the worker count.
 
@@ -81,16 +85,36 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _log_ratio(p_ax: np.ndarray, channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p(a, z) and log[p(a,z) / (p(a) p(z))], 0 where p(a,z) = 0, for each
-    channel p(z|x) in a (B, X, Z) batch, given the table p(a, x)."""
-    p_az = p_ax @ channels
-    p_z = p_az[:, 0, :].copy()  # the rows added in order: the bits of p_az.sum(axis=1), in less time
-    for a in range(1, len(p_ax)):
-        p_z += p_az[:, a, :]
+    """p(a, z) and log[p(a,z) / (p(a) p(z))], 0 where p(a,z) = 0, both in the
+    (A, Z, B) layout, for each channel p(z|x) in a (B, X, Z) batch, given the
+    table p(a, x).  The candidate axis is innermost, so every step after the
+    product is a pass over contiguous length-B rows.
+
+    The product is one matrix product: M holds p(a, x) at (x Z + z, a Z + z),
+    and p(a, z) = M^T @ channels^T over the rows (a, z).  Each entry is the
+    same chain over x as in ``p_ax @ channels``, since M's zeros add nothing.
+    On OpenBLAS 0.3.31 (Haswell kernels) the bits were equal on every case
+    measured with |A| >= 2 and |A| |Z| <= 32, and with |Z| = 4 up to
+    |A| = 100.  Above |A| |Z| = 32 with |Z| < 4, and at |A| = 1, where
+    ``p_ax @ channels`` runs gemv, the two products add the same |X| terms
+    in another rounding order: p(a, z) moved by at most 2 ulp.  The other
+    orientation, ``(channels @ M).T``, rounds differently, and numpy sends
+    a one-column product to gemv, which does too, so one candidate is
+    scored as two copies of itself.  p(z) adds the rows of p(a, z) in
+    a-order, and the log-ratio is formed in place on its own buffer.
+    """
+    card_a, card_x = p_ax.shape
+    batch, _, card_z = channels.shape
+    cols = np.repeat(channels, 2, axis=0) if batch == 1 else channels
+    m = np.kron(p_ax.T, np.eye(card_z))  # (X Z, A Z): p(a, x) at (x Z + z, a Z + z)
+    p_az = (m.T @ cols.reshape(len(cols), card_x * card_z).T)[:, :batch].reshape(card_a, card_z, batch)
+    p_z = p_az[0].copy()  # the rows added in order: the bits of p_az.sum(axis=0)
+    for a in range(1, card_a):
+        p_z += p_az[a]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(p_az)
-        log_ratio -= np.log(p_z)[:, None, :]
-        log_ratio -= np.log(p_ax.sum(axis=1))[:, None]
+        log_ratio -= np.log(p_z, out=p_z)
+        log_ratio -= np.log(p_ax.sum(axis=1))[:, None, None]
     np.copyto(log_ratio, 0.0, where=p_az == 0)
     return p_az, log_ratio
 
@@ -276,11 +300,44 @@ _CHUNK = 12_500  # random candidates per drawn and scored chunk
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
+def _pairwise_fold(rows: np.ndarray) -> np.ndarray:
+    """Add the rows of an (n, B) array in numpy's pairwise order, in place,
+    and return the row that holds the sum: up to 7 rows in order, up to 128
+    into eight accumulator rows combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    with the rest added in order, and above 128 the two halves split at a
+    multiple of 8, each folded alone."""
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        left = _pairwise_fold(rows[:half])
+        left += _pairwise_fold(rows[half:])
+        return left
+    if n < 8:
+        for i in range(1, n):
+            rows[0] += rows[i]
+        return rows[0]
+    blocked = n - n % 8
+    for i in range(8, blocked, 8):
+        rows[:8] += rows[i:i + 8]
+    for step in (1, 2, 4):  # (r0+r1), (r2+r3), ... then their pairs
+        rows[0:8:2 * step] += rows[step:8:2 * step]
+    for i in range(blocked, n):
+        rows[0] += rows[i]
+    return rows[0]
+
+
 def _batched_mi_terms(probs_2d: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    """I(A;Z) for each channel in a (B, X, Z) batch, given p(a, x)."""
+    """I(A;Z) for each channel in a (B, X, Z) batch, given p(a, x).
+
+    The terms p(a,z) log-ratio are formed in place in the (A, Z, B) layout
+    of `_log_ratio`, and their A Z rows are folded into one in numpy's
+    pairwise order, so each value has the bits of the (B, A, Z) formula's
+    ``.sum(axis=(1, 2))``.  numpy's sum starts from +0.0, which the
+    returned copy adds, so a sum of negative zeros is +0.0 there too.
+    """
     p_az, log_ratio = _log_ratio(probs_2d, channels)
     log_ratio *= p_az
-    return log_ratio.sum(axis=(1, 2))
+    return _pairwise_fold(log_ratio.reshape(-1, log_ratio.shape[-1])) + 0.0
 
 
 def solve_G_bruteforce(
@@ -309,6 +366,8 @@ def solve_G_bruteforce(
         raise PreconditionError(f"seed must be >= 0, got {seed}")
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
+    if not math.isfinite(gamma):
+        raise PreconditionError(f"gamma must be finite, got {gamma}")
     p_ux, p_sx = src.p_ux(), src.p_sx()
     max_util = mutual_information(p_ux)  # identity channel ceiling
     if gamma > max_util + CONSTRAINT_TOL:
@@ -381,8 +440,8 @@ def check_corollary2(
     nu + beta * Gamma, whose maximizer need not be the leakage minimizer.
     ``report["pass"]`` is true iff every claim holds.
     """
-    if gamma <= 0:
-        raise PreconditionError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise PreconditionError(f"gamma must be finite and > 0, got {gamma}")
     cfg = cfg if cfg is not None else SolverConfig()
     zhat_card = cfg.zhat_card if cfg.zhat_card is not None else src.card_x
     betas = beta_grid if beta_grid is not None else np.logspace(-2, 3, 6)

@@ -204,6 +204,18 @@ class TestCommands:
         assert f"config key 'oracle_budget' must be >= 1, got {budget}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()  # rejected before any work
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+    def test_bad_gamma_exits_2(self, tmp_path, capsys, gamma):
+        # a floor that is not finite and > 0 is a config error: it must stop the
+        # command before any work, not fail one check after all the others ran
+        cfg = write_cfg(
+            tmp_path, f"card_x=3\nrestarts=2\niterations=50\ncheck_budget_equals_floor=true\ngamma={gamma}\n",
+        )
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key 'gamma' must be finite and > 0, got {gamma}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()  # rejected before any work
+
     @pytest.mark.parametrize(
         "command, mechanism, epsilon",
         [

@@ -45,8 +45,8 @@ def per_table_objective(logits, src, channel, weights):
     for t, p_ax in enumerate((np.diag(src.p_x()), src.p_sx(), src.p_ux())):
         p_az, log_ratio = _log_ratio(p_ax, pzx)
         w = weights[:, t, None, None]
-        value = value + w * (p_az * log_ratio).sum(axis=(1, 2), keepdims=True)
-        g_pzx = g_pzx + w * np.einsum("ax,baz->bxz", p_ax, log_ratio)
+        value = value + w * (p_az * log_ratio).sum(axis=(0, 1))[:, None, None]
+        g_pzx = g_pzx + w * np.einsum("ax,azb->bxz", p_ax, log_ratio)
     g_enc = g_pzx @ channel.T
     return value[:, 0, 0], enc * (g_enc - (enc * g_enc).sum(axis=2, keepdims=True))
 
@@ -316,6 +316,20 @@ class TestOraclePipeline:
         with pytest.raises(PreconditionError, match="seed"):
             solve_G_bruteforce(src, 0.0, budget=10_000, seed=-1)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # a NaN floor fails every comparison silently: without the check the
+        # search scores every candidate and then reports "no candidate"
+        src = random_source(2, 2, 3, seed=0)
+        with pytest.raises(PreconditionError, match="gamma must be finite"):
+            solve_G_bruteforce(src, gamma, budget=10_000, seed=0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+    def test_corollary_rejects_a_floor_that_is_not_finite_and_positive(self, gamma):
+        src = random_source(2, 2, 3, seed=0)
+        with pytest.raises(PreconditionError, match="gamma must be finite and > 0"):
+            ib_solver.check_corollary2(src, gamma, budget=10_000, cfg=FAST)
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, budget):
         # a budget below the deterministic channels' count would search those alone
@@ -383,24 +397,33 @@ def previous_log_ratio(p_ax, channels):
     return p_az, log_ratio
 
 
+def table_and_channels(card_a, card_x, card_z, empty_cell=False):
+    """A random table p(a, x), with p(a=0, x=0) = 0 if `empty_cell`, and a
+    batch of every deterministic channel, then sparse and dense random ones."""
+    rng = np.random.default_rng([card_a, card_x, card_z])
+    p_ax = rng.dirichlet(np.ones(card_a * card_x)).reshape(card_a, card_x)
+    if empty_cell:
+        p_ax[0, 0] = 0.0
+        p_ax /= p_ax.sum()
+    det = np.eye(card_z)[np.array(list(itertools.product(range(card_z), repeat=card_x)))]
+    return p_ax, np.concatenate([det] + [
+        rng.dirichlet(np.full(card_z, alpha), size=(500, card_x)) for alpha in (0.05, 1.0)
+    ])
+
+
+def bits(values):
+    return np.asarray(values).view(np.int64)
+
+
 class TestLogRatio:
     @pytest.mark.parametrize("card_a, card_x, card_z", itertools.product([2, 3, 4], repeat=3))
     @pytest.mark.parametrize("empty_cell", [False, True])
     def test_equals_previous_formula_bit_for_bit(self, card_a, card_x, card_z, empty_cell):
-        rng = np.random.default_rng([card_a, card_x, card_z])
-        p_ax = rng.dirichlet(np.ones(card_a * card_x)).reshape(card_a, card_x)
-        if empty_cell:
-            p_ax[0, 0] = 0.0
-            p_ax /= p_ax.sum()
-        # every deterministic channel, then sparse and dense random ones
-        det = np.eye(card_z)[np.array(list(itertools.product(range(card_z), repeat=card_x)))]
-        channels = np.concatenate([det] + [
-            rng.dirichlet(np.full(card_z, alpha), size=(500, card_x)) for alpha in (0.05, 1.0)
-        ])
+        p_ax, channels = table_and_channels(card_a, card_x, card_z, empty_cell)
         p_az, log_ratio = _log_ratio(p_ax, channels)
         ref_p_az, ref_log_ratio = previous_log_ratio(p_ax, channels)
-        np.testing.assert_array_equal(p_az, ref_p_az)
-        np.testing.assert_array_equal(log_ratio, ref_log_ratio)
+        np.testing.assert_array_equal(p_az, ref_p_az.transpose(1, 2, 0))  # the (A, Z, B) layout
+        np.testing.assert_array_equal(log_ratio, ref_log_ratio.transpose(1, 2, 0))
         np.testing.assert_array_equal(
             _batched_mi_terms(p_ax, channels), (ref_p_az * ref_log_ratio).sum(axis=(1, 2))
         )
@@ -415,8 +438,8 @@ class TestLogRatio:
                 joint = sum(p_ax[a, x] * det[b, x, z] for x in range(4))
                 p_z = sum(p_ax[i, x] * det[b, x, z] for i in range(len(p_a)) for x in range(4))
                 naive = math.log(joint / (p_a[a] * p_z)) if joint > 0 else 0.0
-                assert p_az[b, a, z] == pytest.approx(joint, abs=1e-15)
-                assert abs(log_ratio[b, a, z] - naive) <= 1e-15
+                assert p_az[a, z, b] == pytest.approx(joint, abs=1e-15)
+                assert abs(log_ratio[a, z, b] - naive) <= 1e-15
 
     @pytest.mark.parametrize("card_x", [3, 4])
     def test_vanishes_under_zero_budget_rr(self, card_x):
@@ -426,3 +449,55 @@ class TestLogRatio:
             for p_ax in (src.p_ux(), src.p_sx()):
                 _, log_ratio = _log_ratio(p_ax, rows[None])
                 assert np.abs(log_ratio).max() <= 1e-15
+
+    # |A| |Z| = n rows to fold: n < 8, 8 <= n <= 128 with and without a rest,
+    # and n = 132 > 128, which numpy splits into 64 + 68 rows
+    @pytest.mark.parametrize("card_a, card_z", [
+        *itertools.product(range(2, 11), [2, 3, 4]), (33, 4),
+    ])
+    @pytest.mark.parametrize("card_x", [2, 4])
+    def test_mi_terms_have_the_bits_of_the_previous_sum(self, card_a, card_x, card_z):
+        p_ax, channels = table_and_channels(card_a, card_x, card_z, empty_cell=card_a % 2 == 1)
+        ref_p_az, ref_log_ratio = previous_log_ratio(p_ax, channels)
+        expected = (ref_p_az * ref_log_ratio).sum(axis=(1, 2))
+        np.testing.assert_array_equal(bits(_batched_mi_terms(p_ax, channels)), bits(expected))
+
+    @pytest.mark.parametrize("card_a, card_x, card_z", [(2, 3, 3), (2, 4, 4), (4, 4, 2), (3, 2, 4)])
+    def test_one_candidate_scores_as_in_a_batch(self, card_a, card_x, card_z):
+        # numpy sends a one-column product to gemv, which rounds in another order
+        p_ax, channels = table_and_channels(card_a, card_x, card_z)
+        batch = _batched_mi_terms(p_ax, channels)
+        p_az, log_ratio = _log_ratio(p_ax, channels)
+        for b in range(0, len(channels), 37):
+            one_p_az, one_log_ratio = _log_ratio(p_ax, channels[b : b + 1])
+            np.testing.assert_array_equal(one_p_az[..., 0], p_az[..., b])
+            np.testing.assert_array_equal(one_log_ratio[..., 0], log_ratio[..., b])
+            assert bits(_batched_mi_terms(p_ax, channels[b : b + 1])) == bits(batch[b])
+
+    @pytest.mark.parametrize("card_a, card_z", [(1, 4), (11, 3), (17, 2), (40, 3)])
+    def test_large_or_single_row_tables_within_two_ulp(self, card_a, card_z):
+        # the bits hold on the grid above; here the BLAS may add the same
+        # |X| products in another rounding order: the stated tolerance
+        p_ax, channels = table_and_channels(card_a, 4, card_z)
+        ref_p_az, ref_log_ratio = previous_log_ratio(p_ax, channels)
+        p_az, _ = _log_ratio(p_ax, channels)
+        ref = ref_p_az.transpose(1, 2, 0)
+        assert (np.abs(p_az - ref) <= 2 * np.spacing(ref)).all()
+        np.testing.assert_allclose(
+            _batched_mi_terms(p_ax, channels), (ref_p_az * ref_log_ratio).sum(axis=(1, 2)), rtol=0, atol=1e-14
+        )
+
+    def test_chunk_memory_stays_under_2_1_mib(self):
+        import tracemalloc
+
+        src = random_source(2, 2, 4, seed=1)
+        channels = np.random.default_rng(0).dirichlet(np.ones(4), size=(ib_solver._CHUNK, 4))
+        tracemalloc.start()
+        try:
+            _batched_mi_terms(src.p_ux(), channels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 2.0 MiB measured; the (B, A, Z) scorer peaked at 2.35 MiB, and copying
+        # the rows to fold instead of folding them in place costs 0.76 MiB more
+        assert peak <= 2.1 * 2**20

@@ -9,19 +9,20 @@ holds no reference cycle and is freed as soon as its last tensor is
 dropped, not at the next cyclic garbage collection.  Tensors wrap numpy
 arrays of up to 3 axes; parameters persist across steps while the graph
 is rebuilt each forward pass.  A graph is single-owner and
-single-threaded; independent graphs may run in parallel.  The tape serves
-losses whose graph is not fixed, the no-gradient forwards of `Mlp`, and
-the reference that the hand-written passes are tested against (criterion
-7 checks its ops and `fair_encoder._loss_graph` by finite differences).
+single-threaded; independent graphs may run in parallel.  The tape is
+the reference only: the hand-written passes are tested against it, and
+criterion 7 checks its ops and `fair_encoder._loss_graph` by finite
+differences.
 
-`MlpPass` is the buffered pass for the fixed MLP losses that train: the
-fair encoder's Monte Carlo objective, the downstream classifiers and
-MINE.  Its forward writes each layer's output into a buffer made once per
-batch size, its backward applies each activation backward in place and
-writes the weight and bias gradients into caller-given views, usually of
-one flat gradient buffer (`flat_grad`) that `adam_step` takes whole.  It
-runs the float operations of the `dense` nodes chained, in the tape's
-order, so its values and gradients equal the tape's bit for bit.
+`MlpPass` is the buffered pass that runs every MLP outside the tests: the
+fixed losses that train (the fair encoder's Monte Carlo objective, the
+downstream classifiers and MINE) and the no-gradient forwards of
+evaluation.  Its forward writes each layer's output into a buffer made
+once per batch size, its backward applies each activation backward in
+place and writes the weight and bias gradients into caller-given views,
+usually of one flat gradient buffer (`flat_grad`) that `adam_step` takes
+whole.  It runs the float operations of the `dense` nodes chained, in the
+tape's order, so its values and gradients equal the tape's bit for bit.
 
 An affine layer is one tape node: `dense(x, w, b, act)` computes
 act(x @ w + b) with the same float operations, in the same order, as the

@@ -480,8 +480,11 @@ def cmd_sweep(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     modes = cfg.get("mechanism", ["laplace"])
     cells = [(cfg, str(out), b, e, m, seed) for b in betas for e in epsilons for m in modes]
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-started pool forks all its workers at the first submit, so no
+    # more than one a cell
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(c) for c in cells]

@@ -99,9 +99,6 @@ class JointFull:
 
     probs: np.ndarray  # shape (card_u, card_s, card_x, card_z)
 
-    def source_joint(self) -> np.ndarray:
-        return self.probs.sum(axis=3)
-
     def p_uz(self) -> np.ndarray:
         return self.probs.sum(axis=(1, 2))
 
@@ -114,9 +111,6 @@ class JointFull:
     def p_xzs(self) -> np.ndarray:
         """Joint over (x, z, s), the axis order conditional_mi expects."""
         return self.probs.sum(axis=0).transpose(1, 2, 0)
-
-    def p_z(self) -> np.ndarray:
-        return self.probs.sum(axis=(0, 1, 2))
 
 
 def new_joint(probs: np.ndarray) -> JointSourceUSX:

@@ -36,6 +36,7 @@ from .ldp_mechanisms import (
     LaplaceMechanism,
     RandomizedResponse,
     laplace_randomize,
+    mechanism_from_spec,
     rr_randomize,
 )
 
@@ -153,20 +154,21 @@ class EncoderModel:
             out.append(self.codebook)
         return out
 
-    # -- no-grad numpy forwards for evaluation and exact enumeration ---------
+    # -- no-grad forwards for evaluation and exact enumeration ---------------
+    # Each runs a fresh `MlpPass`, so no work buffer outlives the call.
 
     def encoder_features(self, x: np.ndarray) -> np.ndarray:
         """Pre-mechanism encoder output: (n, d) truncated vector for the
         continuous family, (n, d, code_dim) raw features for the discrete."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h = self.encoder(ad.Tensor(x)).data
+        h = ad.MlpPass(self.encoder).forward(x)
         if self.discrete:
             return h.reshape(x.shape[0], self.mechanism.d, self.code_dim)
         return self.mechanism.t * np.tanh(h)
 
     def utility_log_probs(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return ad.log_softmax(self.utility_decoder(ad.Tensor(z))).data
+        return ad.log_softmax_kernel(ad.MlpPass(self.utility_decoder).forward(z))
 
     def predict_utility(self, z: np.ndarray) -> np.ndarray:
         """Hard labels from the utility decoder on randomized representations."""
@@ -178,7 +180,7 @@ class EncoderModel:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         s_onehot = np.eye(self.card_s)[np.asarray(s, dtype=np.intp).reshape(-1)]
-        pred = self.side_decoder(ad.Tensor(np.concatenate([z, s_onehot], axis=1))).data
+        pred = ad.MlpPass(self.side_decoder).forward(np.concatenate([z, s_onehot], axis=1))
         ll = np.zeros(z.shape[0])
         if self._numeric_cols.size:
             diff = pred[:, self._numeric_cols] - x[:, self._numeric_cols]
@@ -491,7 +493,7 @@ def train(model: EncoderModel, ds: TabularDataset, cfg: TrainConfig) -> list[Los
 def save_model(model: EncoderModel, path: str | Path) -> None:
     mech = model.mechanism
     meta = {
-        "discrete": model.discrete,
+        "discrete": model.discrete,  # unread: load_model goes by mechanism.kind
         "card_u": model.card_u,
         "card_s": model.card_s,
         "code_dim": model.code_dim,
@@ -508,17 +510,19 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> EncoderModel:
     meta, arrays = ad.load_checkpoint(path)
-    m = meta["mechanism"]
-    mech = (
-        RandomizedResponse(epsilon=m["epsilon"], k=m["k"], d=m["d"])
-        if meta["discrete"]
-        else LaplaceMechanism(epsilon=m["epsilon"], t=m["t"], d=m["d"])
-    )
-    schema = [ColumnSpec(n, k, sz, tuple(cats)) for n, k, sz, cats in meta["schema"]]
-    model = EncoderModel(
-        schema, mech, card_u=meta["card_u"], card_s=meta["card_s"],
-        code_dim=meta["code_dim"] or DEFAULT_CODE_DIM,
-    )
+    try:
+        spec = meta["mechanism"]
+        # each field save_model writes is required: no default of the spec
+        # reader may stand in for the trained model's value
+        fields = ("kind", "epsilon", "d", "k" if spec["kind"] == "rr" else "t")
+        mech = mechanism_from_spec({f: spec[f] for f in fields})
+        schema = [ColumnSpec(n, k, sz, tuple(cats)) for n, k, sz, cats in meta["schema"]]
+        model = EncoderModel(
+            schema, mech, card_u=meta["card_u"], card_s=meta["card_s"],
+            code_dim=meta["code_dim"] or DEFAULT_CODE_DIM,
+        )
+    except (KeyError, TypeError, ValueError, PreconditionError) as exc:
+        raise DatasetError(f"{path}: malformed checkpoint metadata: {type(exc).__name__}: {exc}") from None
     params = model.parameters()
     if sorted(arrays) != sorted(f"p{i}" for i in range(len(params))):
         raise DatasetError(f"{path}: checkpoint arrays {sorted(arrays)} do not match the model's {len(params)} parameters")

@@ -78,12 +78,6 @@ class FrontierPoint:
     converged: bool
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-stochastic encoder p(zhat|x) from logits, over the last axis."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _log_ratio(p_ax: np.ndarray, channels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(a, z) and log[p(a,z) / (p(a) p(z))], 0 where p(a,z) = 0, both in the
     (A, Z, B) layout, for each channel p(z|x) in a (B, X, Z) batch, given the
@@ -145,7 +139,7 @@ def _objective_graph(
     share p(z) = sum_x p(x) p(z|x), so one pass over the stacked rows serves all.
     """
     p_ax, log_pa, p_x, which = tables
-    enc = _softmax(logits)
+    enc = ad.ACTIVATIONS["softmax"][0](logits)
     pzx = enc @ channel
     p_az = p_ax @ pzx
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,7 +232,7 @@ def _solve(
         top = last[rows].max()
         ties = last[rows] >= top - TIE_RTOL * max(1.0, abs(top))
         best = b * cfg.restarts + int(np.argmax(ties))  # the first True: the lowest tied restart
-        enc = new_channel(_softmax(logits[best]))
+        enc = new_channel(ad.ACTIVATIONS["softmax"][0](logits[best]))
         points.append(_exact_point(src, enc, rr_rows, beta, mech.epsilon, bool(converged[best])))
     return points
 
@@ -295,7 +289,7 @@ def check_theorem1(pt: FrontierPoint, gamma: float, tol: float = 1e-6) -> tuple[
 _CONCENTRATIONS = (0.05, 0.2, 1.0, 5.0)  # Dirichlet concentrations of the random candidates
 _CHUNK = 12_500  # random candidates per drawn and scored chunk
 # Threads that draw and score chunks: the usable cores, at most 2.  Draws
-# take about 70% of the oracle's CPU, and two workers were measured on a
+# take about 85% of the oracle's CPU, and two workers were measured on a
 # 2-core box; more than 2 is unmeasured.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 

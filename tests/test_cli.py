@@ -362,7 +362,11 @@ class TestCommands:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("damage", ["version", "shape"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["version", "shape", "no-mechanism", "no-schema", "epsilon-text", "epsilon-negative", "unknown-kind",
+         "mechanism-text", "no-t"],
+    )
     def test_foreign_checkpoint_exits_4(self, tmp_path, capsys, damage):
         from ldpfair import autodiff as ad
 
@@ -374,7 +378,22 @@ class TestCommands:
             meta["checkpoint_version"] = 2
             np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
         else:
-            arrays["p2"] = arrays["p2"][:, :-1]
+            if damage == "shape":
+                arrays["p2"] = arrays["p2"][:, :-1]
+            elif damage == "no-mechanism":
+                del meta["mechanism"]
+            elif damage == "no-schema":
+                del meta["schema"]
+            elif damage == "epsilon-text":
+                meta["mechanism"]["epsilon"] = "x"
+            elif damage == "epsilon-negative":
+                meta["mechanism"]["epsilon"] = -1
+            elif damage == "unknown-kind":
+                meta["mechanism"]["kind"] = "gauss"
+            elif damage == "mechanism-text":
+                meta["mechanism"] = "rr"
+            else:  # a default t must not stand in for the trained one
+                del meta["mechanism"]["t"]
             ad.save_checkpoint(path, meta, arrays)
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 4
@@ -451,6 +470,35 @@ class TestCommands:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert len(payload["cells"]) == 2
         assert {"beta", "epsilon", "mode", "accuracy_median"} <= set(payload["cells"][0])
+
+    @pytest.mark.parametrize("jobs, workers", [(500, 2), (2, 2), (1, None)])
+    def test_sweep_starts_at_most_one_worker_per_cell(self, tmp_path, monkeypatch, jobs, workers):
+        # a fork-started pool forks every worker at the first submit, so the
+        # pool is a fake that records its size and maps in-process
+        sizes = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        cfg = write_cfg(
+            tmp_path,
+            "dataset=synthetic\ncard_x=4\nn_train=400\nn_test=400\n"
+            "mechanism=laplace\nepsilon=1,5\nbeta=0.5\nepochs=1\nbatch=256\n",
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--jobs", str(jobs)]) == 0
+        assert sizes == ([] if workers is None else [workers])
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4  # hash + header + 2 cells
 
     def test_rerun_reproduces_artifacts(self, tmp_path):
         cfg = write_cfg(

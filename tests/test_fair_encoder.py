@@ -11,6 +11,7 @@ from ldpfair import (
     TrainConfig,
     embed_dataset,
     encode,
+    full_report,
     generate_synthetic,
     load_model,
     mc_loss,
@@ -248,6 +249,51 @@ class TestTrain:
             hist = train(model, tr, TrainConfig(epochs=2, batch_size=128, seed=9))
             losses.append(hist[-1].total)
         assert losses[0] == losses[1]
+
+
+MECHANISMS = [RandomizedResponse(epsilon=5.0, k=4, d=2), LaplaceMechanism(epsilon=5.0, t=0.5, d=2)]
+
+
+class TestNoTapeInProduction:
+    """The tape is the reference only: training and evaluation run every
+    network through `MlpPass`."""
+
+    @pytest.mark.parametrize("mech", MECHANISMS, ids=["rr", "laplace"])
+    def test_train_and_evaluate_run_no_tape_forward(self, monkeypatch, mech):
+        def tape(*args, **kwargs):
+            raise AssertionError("a tape forward ran")
+
+        monkeypatch.setattr(ad.Mlp, "__call__", tape)
+        monkeypatch.setattr(ad, "log_softmax", tape)
+        _, tr, te = toy_dataset(n_train=300, n_test=200)
+        model = EncoderModel(tr.schema, mech, seed=0)
+        train(model, tr, TrainConfig(epochs=1, batch_size=128))
+        encode(model, te.features, np.random.default_rng(0))
+        full_report(model, te, [0, 1])
+
+    @pytest.mark.parametrize("mech", MECHANISMS, ids=["rr", "laplace"])
+    def test_forwards_equal_the_tape_bit_for_bit(self, mech):
+        _, tr, _ = toy_dataset(n_train=300)
+        model = EncoderModel(tr.schema, mech, seed=0)
+        train(model, tr, TrainConfig(epochs=1, batch_size=128))
+        x, s = tr.features[:150], tr.s[:150]
+        h = model.encoder(ad.Tensor(x)).data
+        if model.discrete:
+            np.testing.assert_array_equal(model.encoder_features(x), h.reshape(150, mech.d, model.code_dim))
+        else:
+            np.testing.assert_array_equal(model.encoder_features(x), mech.t * np.tanh(h))
+        z = encode(model, x, np.random.default_rng(1)).z
+        np.testing.assert_array_equal(
+            model.utility_log_probs(z), ad.log_softmax(model.utility_decoder(ad.Tensor(z))).data
+        )
+        pred = model.side_decoder(ad.Tensor(np.concatenate([z, np.eye(2)[s]], axis=1))).data
+        ll = np.zeros(150)
+        if model._numeric_cols.size:
+            diff = pred[:, model._numeric_cols] - x[:, model._numeric_cols]
+            ll -= 0.5 * (diff * diff).sum(axis=1)
+        for lo, hi in model._cat_slices:
+            ll += (x[:, lo:hi] * ad.log_softmax(ad.Tensor(pred[:, lo:hi])).data).sum(axis=1)
+        np.testing.assert_array_equal(model.side_log_likelihood(z, s, x), ll)
 
 
 class TestCheckpoint:

@@ -167,6 +167,17 @@ class TestFullReport:
         assert rep.leakage_mean >= -0.05
         assert len(rep.per_seed["accuracy"]) == 2
 
+    def test_continuous_leakage_is_never_negative(self, monkeypatch):
+        # the mixture estimate can dip below 0 near independence; at
+        # n_test = 2000 one trained Laplace model's seed read -4.5e-4 nats
+        from ldpfair import fairness_metrics
+
+        model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2), epochs=1)
+        estimates = iter([2e-3, -4.5e-4])
+        monkeypatch.setattr(fairness_metrics, "laplace_mixture_mi", lambda *args: next(estimates))
+        rep = full_report(model, te, seeds=[0, 1])
+        assert rep.per_seed["leakage"] == [2e-3, 0.0]
+
     def test_continuous_leakage_below_data_processing_ceiling(self):
         # S -> X -> features -> Z is a Markov chain, so I(S;Z) <= I(S;X);
         # the source is the one of random_source(2, 2, 4, seed) for seeds

@@ -24,10 +24,13 @@ from ldpfair import (
     solve_g,
     trace_frontier,
 )
+from ldpfair import autodiff as ad
 from ldpfair import ib_solver
 from ldpfair.ib_solver import _batched_mi_terms, _log_ratio, _objective_graph
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")  # a zero cell's log must stay silent
+
+softmax = ad.ACTIVATIONS["softmax"][0]  # the solver's encoder p(z|x) from logits
 
 FAST = SolverConfig(restarts=2, iterations=800)
 
@@ -39,7 +42,7 @@ def _replace(cfg, **kw):
 def per_table_objective(logits, src, channel, weights):
     """The kernel's value and gradient written one table at a time, each
     table with its own p(z), from `_log_ratio`."""
-    enc = ib_solver._softmax(logits)
+    enc = softmax(logits)
     pzx = enc @ channel
     value, g_pzx = 0.0, 0.0
     for t, p_ax in enumerate((np.diag(src.p_x()), src.p_sx(), src.p_ux())):
@@ -85,7 +88,7 @@ class TestObjectiveKernel:
         np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13)
         # each term alone is the exact mutual information of the induced joint
         for b, pair in ((2, "p_xz"), (3, "p_sz"), (4, "p_uz")):  # the rows (1, 0, 0), (0, 1, 0), (0, 0, 1)
-            enc = new_channel(ib_solver._softmax(logits[b]))
+            enc = new_channel(softmax(logits[b]))
             joint = induced_joint(src, compose(enc, new_channel(channel)))
             assert abs(value[b] - mutual_information(getattr(joint, pair)())) <= 1e-13
         if empty == "x":
@@ -167,7 +170,7 @@ class TestSolveG:
         for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
             monkeypatch.setattr(ib_solver, "_restart_logits", lambda *args: starts[order])
             for p in trace_frontier(src, mech, betas, cfg):
-                np.testing.assert_allclose(p.encoder.rows, ib_solver._softmax(starts[order[0]]), atol=1e-6)
+                np.testing.assert_allclose(p.encoder.rows, softmax(starts[order[0]]), atol=1e-6)
 
     def test_deterministic_given_seed(self):
         src = random_source(2, 2, 3, seed=4)

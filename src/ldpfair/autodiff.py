@@ -44,16 +44,11 @@ the next step copy the current values into a new buffer.
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, DimensionMismatchError, PreconditionError
-
-CHECKPOINT_VERSION = 1
+from .errors import DimensionMismatchError, PreconditionError
 
 
 class Tensor:
@@ -664,35 +659,3 @@ def adam_step(params: list[Tensor], state: AdamState, grads=None) -> None:
         _bind(params, state)
     adam_update(state.flat, g, state)
 
-
-# -- checkpointing -----------------------------------------------------------
-
-
-def save_checkpoint(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Versioned checkpoint: JSON header plus named row-major weight arrays."""
-    header = dict(meta)
-    header["checkpoint_version"] = CHECKPOINT_VERSION
-    np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
-
-
-def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """(meta, arrays) of a `save_checkpoint` file; DatasetError if the file
-    is not a readable checkpoint archive of this version, or if a float
-    array holds a NaN or an infinity."""
-    try:
-        f = np.load(path)
-        if not isinstance(f, np.lib.npyio.NpzFile):  # a bare .npy array
-            raise ValueError("an array file, not an archive")
-        with f:
-            meta = json.loads(bytes(f["__meta__"]).decode())
-            arrays = {k: f[k] for k in f.files if k != "__meta__"}
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise DatasetError(f"{path} is not a checkpoint: {exc}") from None
-    if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-        raise DatasetError(
-            f"{path}: unsupported checkpoint version {meta.get('checkpoint_version')!r}"
-        )
-    for name, a in arrays.items():
-        if a.dtype.kind in "fc" and not np.isfinite(a).all():
-            raise DatasetError(f"{path}: array {name!r} has a non-finite entry")
-    return meta, arrays

@@ -125,14 +125,6 @@ def _parse_scalar(value: str):
     return value
 
 
-def _dump_json(payload: dict) -> str:
-    # numpy scalars (np.bool_, np.float64) leak into check reports; .item()
-    # converts them to native types
-    return json.dumps(
-        payload, indent=2, default=lambda o: o.item() if hasattr(o, "item") else str(o)
-    ) + "\n"
-
-
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -205,6 +197,12 @@ def _cache_dir(cfg: dict, out: Path) -> Path:
     return Path(os.environ.get(CACHE_ENV) or cfg.get("cache_dir", out / "cache"))
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    # numpy scalars (np.bool_, np.float64) leak into check reports; .item()
+    # converts them to native types
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=lambda o: o.item()) + "\n")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list], chash: str) -> None:
     with open(path, "w", newline="") as f:
         f.write(f"# config_hash={chash}\n")
@@ -269,27 +267,25 @@ def _load_dataset_pair(cfg: dict, out: Path):
     raise ConfigError(f"unknown dataset {name!r}; use adult, compas, or synthetic")
 
 
-def _mechanism(cfg: dict, kind: str, epsilon: float):
-    return mechanism_from_spec(
-        {
-            "kind": kind,
-            "epsilon": epsilon,
-            "t": cfg.get("t", 0.5),
-            "d": cfg.get("d", 2),
-            "k": cfg.get("k", 4),
-        }
-    )
+def _given(**values) -> dict:
+    """The arguments whose config key is set; the rest take the callee's default."""
+    return {name: v for name, v in values.items() if v is not None}
 
 
-def _train_config(cfg: dict, beta: float, seed: int) -> fair_encoder.TrainConfig:
-    return fair_encoder.TrainConfig(
-        beta=beta,
-        epochs=cfg.get("epochs", 150),
-        batch_size=cfg.get("batch", 512),
-        learning_rate=cfg.get("lr", 1e-3),
-        mc_samples=cfg.get("L", 1),
-        seed=seed,
+def _train_model(cfg: dict, train_ds, kind: str, epsilon: float, beta: float, seed: int):
+    """(model, per-epoch losses) of an encoder built and trained as the config says."""
+    mech = mechanism_from_spec(
+        {"kind": kind, "epsilon": epsilon, **_given(t=cfg.get("t"), d=cfg.get("d"), k=cfg.get("k"))}
     )
+    model = fair_encoder.EncoderModel(
+        train_ds.schema, mech, seed=seed, code_dim=cfg.get("D", fair_encoder.DEFAULT_CODE_DIM)
+    )
+    tc = fair_encoder.TrainConfig(
+        beta=beta, seed=seed,
+        **_given(epochs=cfg.get("epochs"), batch_size=cfg.get("batch"),
+                 learning_rate=cfg.get("lr"), mc_samples=cfg.get("L")),
+    )
+    return model, fair_encoder.train(model, train_ds, tc)
 
 
 # -- commands ----------------------------------------------------------------
@@ -299,18 +295,15 @@ def cmd_fetch_data(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> in
     train, test = _load_dataset_pair(cfg, out)
     datasets.save_dataset(train, out / "train.npz")
     datasets.save_dataset(test, out / "test.npz")
-    (out / "fetch.json").write_text(
-        json.dumps(
-            {
-                "config_hash": chash,
-                "train_rows": train.n,
-                "test_rows": test.n,
-                "train_hash": train.content_hash(),
-                "test_hash": test.content_hash(),
-            },
-            indent=2,
-        )
-        + "\n"
+    _write_json(
+        out / "fetch.json",
+        {
+            "config_hash": chash,
+            "train_rows": train.n,
+            "test_rows": test.n,
+            "train_hash": train.content_hash(),
+            "test_hash": test.content_hash(),
+        },
     )
     print(f"wrote {out / 'train.npz'} ({train.n} rows) and {out / 'test.npz'} ({test.n} rows)")
     return 0
@@ -368,7 +361,7 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
 
     all_ok = bool(all(c["pass"] for c in checks.values()))
     payload = {"config_hash": chash, "pass": all_ok, "checks": checks}
-    (out / "verify.json").write_text(_dump_json(payload))
+    _write_json(out / "verify.json", payload)
     for name, c in checks.items():
         print(f"{'PASS' if c['pass'] else 'FAIL'} {name}")
     if not all_ok:
@@ -388,7 +381,7 @@ def cmd_solve(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
         "beta": pt.beta, "epsilon": pt.epsilon, "Gamma": pt.Gamma, "Omega": pt.Omega,
         "nu": pt.nu, "ixz": pt.ixz, "objective": pt.objective, "converged": pt.converged,
     }
-    (out / "solution.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(out / "solution.json", payload)
     from .discrete_source import save_channel
 
     save_channel(pt.encoder, out / "encoder.channel")
@@ -416,12 +409,10 @@ def cmd_frontier(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
 
 def cmd_train(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     train_ds, _ = _load_dataset_pair(cfg, out)
-    mech = _mechanism(cfg, _one(cfg, "mechanism", "laplace"), _one(cfg, "epsilon"))
-    model = fair_encoder.EncoderModel(
-        train_ds.schema, mech, seed=seed, code_dim=cfg.get("D", 8)
+    model, history = _train_model(
+        cfg, train_ds, _one(cfg, "mechanism", "laplace"), _one(cfg, "epsilon"),
+        _one(cfg, "beta", 1.0), seed,
     )
-    tc = _train_config(cfg, _one(cfg, "beta", 1.0), seed)
-    history = fair_encoder.train(model, train_ds, tc)
     fair_encoder.save_model(model, out / "model.npz")
     _write_csv(
         out / "history.csv",
@@ -432,7 +423,7 @@ def cmd_train(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
         ],
         chash,
     )
-    print(f"trained {tc.epochs} epochs; final loss {history[-1].total:.4f}")
+    print(f"trained {len(history)} epochs; final loss {history[-1].total:.4f}")
     return 0
 
 
@@ -444,7 +435,7 @@ def cmd_evaluate(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     _, test_ds = _load_dataset_pair(cfg, out)
     seeds = cfg.get("seeds", [seed])
     report = fairness_metrics.full_report(model, test_ds, seeds)
-    report.to_json(out / "report.json", extra={"config_hash": chash})
+    _write_json(out / "report.json", {**report.__dict__, "config_hash": chash})
     print(
         f"accuracy {report.accuracy_mean:.4f} ddp {report.delta_dp_mean:.4f} "
         f"leakage {report.leakage_mean:.4f} nats"
@@ -458,11 +449,7 @@ def _sweep_cell(args):
     out = Path(out_str)
     try:
         train_ds, test_ds = _load_dataset_pair(cfg, out)
-        mech = _mechanism(cfg, mode, eps)
-        model = fair_encoder.EncoderModel(
-            train_ds.schema, mech, seed=seed, code_dim=cfg.get("D", 8)
-        )
-        fair_encoder.train(model, train_ds, _train_config(cfg, beta, seed))
+        model, _ = _train_model(cfg, train_ds, mode, eps, beta, seed)
         seeds = cfg.get("seeds", [seed])
         rep = fairness_metrics.full_report(model, test_ds, seeds)
         return [
@@ -532,7 +519,7 @@ def cmd_report(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
             entry[f"{m}_std"] = float(np.std(vals))
         table.append(entry)
     payload = {"config_hash": chash, "cells": table}
-    (out / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(out / "report.json", payload)
     print(f"wrote {out / 'report.json'} ({len(table)} cells)")
     return 0
 

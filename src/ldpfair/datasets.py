@@ -7,6 +7,10 @@ loads from a user-supplied CSV and is validated against published
 statistics.  The synthetic generator samples (u, s, x) from an exact
 finite joint and emits Gaussian features per x, so every information
 quantity has a computable ground truth.
+
+Every binary artifact, a dataset split or a model checkpoint, is one
+versioned archive: `save_checkpoint` writes a JSON header and named
+arrays, and `load_checkpoint` reads it back or raises DatasetError.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import urllib.error
 import urllib.request
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +29,7 @@ import numpy as np
 from .discrete_source import JointSourceUSX, sample as sample_source
 from .errors import DatasetError, PreconditionError
 
-DATASET_FORMAT_VERSION = 1
+CHECKPOINT_VERSION = 1
 
 ADULT_BASE_URL = "https://archive.ics.uci.edu/ml/machine-learning-databases/adult/"
 ADULT_TRAIN_RECORDS = 32561
@@ -91,8 +96,18 @@ class TabularDataset:
         h.update(self.s.astype(np.int64).tobytes())
         if self.x is not None:
             h.update(self.x.astype(np.int64).tobytes())
-        h.update(json.dumps([(c.name, c.kind, c.size, list(c.categories)) for c in self.schema]).encode())
+        h.update(json.dumps(schema_to_json(self.schema)).encode())
         return h.hexdigest()
+
+
+def schema_to_json(schema: list[ColumnSpec]) -> list:
+    """A schema as JSON rows: [name, kind, size, categories] per column."""
+    return [(c.name, c.kind, c.size, list(c.categories)) for c in schema]
+
+
+def schema_from_json(rows) -> list[ColumnSpec]:
+    """The schema that `schema_to_json` wrote as rows."""
+    return [ColumnSpec(n, k, sz, tuple(cats)) for n, k, sz, cats in rows]
 
 
 @dataclass(frozen=True)
@@ -349,43 +364,71 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[TabularDataset, TabularData
 # -- binary round-trip -------------------------------------------------------
 
 
+def save_checkpoint(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Versioned archive: JSON header plus named arrays."""
+    header = dict(meta)
+    header["checkpoint_version"] = CHECKPOINT_VERSION
+    np.savez(path, __meta__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+
+
+def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of a `save_checkpoint` file; DatasetError if the file
+    is not a readable archive of this version, or if a float array holds a
+    NaN or an infinity."""
+    try:
+        f = np.load(path)
+        if not isinstance(f, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError("an array file, not an archive")
+        with f:
+            meta = json.loads(bytes(f["__meta__"]).decode())
+            arrays = {k: f[k] for k in f.files if k != "__meta__"}
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise DatasetError(f"{path} is not a checkpoint: {exc}") from None
+    version = meta.get("checkpoint_version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise DatasetError(f"{path}: unsupported checkpoint version {version!r}")
+    for name, a in arrays.items():
+        if a.dtype.kind in "fc" and not np.isfinite(a).all():
+            raise DatasetError(f"{path}: array {name!r} has a non-finite entry")
+    return meta, arrays
+
+
 def save_dataset(ds: TabularDataset, path: str | Path) -> None:
-    """Versioned header + schema block + data blocks + content hash."""
+    """One split as an archive: provenance, schema and content hash in the
+    header; features, u, s and any x labels as arrays."""
     meta = {
-        "format_version": DATASET_FORMAT_VERSION,
         "split": ds.split,
         "standardized_with": ds.standardized_with,
-        "schema": [(c.name, c.kind, c.size, list(c.categories)) for c in ds.schema],
+        "schema": schema_to_json(ds.schema),
         "content_hash": ds.content_hash(),
-        "has_x": ds.x is not None,
     }
     arrays = {
-        "__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         "features": np.asfortranarray(ds.features),
         "u": ds.u.astype(np.int64),
         "s": ds.s.astype(np.int64),
     }
     if ds.x is not None:
         arrays["x"] = ds.x.astype(np.int64)
-    np.savez(path, **arrays)
+    save_checkpoint(path, meta, arrays)
 
 
 def load_dataset(path: str | Path) -> TabularDataset:
-    with np.load(path) as f:
-        meta = json.loads(bytes(f["__meta__"]).decode())
-        if meta["format_version"] != DATASET_FORMAT_VERSION:
-            raise DatasetError(f"unsupported dataset format version {meta['format_version']}")
-        schema = [ColumnSpec(n, k, sz, tuple(cats)) for n, k, sz, cats in meta["schema"]]
+    """A `save_dataset` split; DatasetError naming the path if the archive
+    is damaged or its arrays do not match the stored content hash."""
+    meta, arrays = load_checkpoint(path)
+    try:
         ds = TabularDataset(
-            features=np.ascontiguousarray(f["features"]),
-            u=f["u"],
-            s=f["s"],
+            features=np.ascontiguousarray(arrays["features"]),
+            u=arrays["u"],
+            s=arrays["s"],
             split=meta["split"],
-            schema=schema,
+            schema=schema_from_json(meta["schema"]),
             standardized_with=meta["standardized_with"],
-            x=f["x"] if meta["has_x"] else None,
+            x=arrays.get("x"),
         )
-    if ds.content_hash() != meta["content_hash"]:
+        stored = meta["content_hash"]
+    except (KeyError, TypeError, ValueError, DatasetError) as exc:
+        raise DatasetError(f"{path}: malformed dataset archive: {type(exc).__name__}: {exc}") from None
+    if ds.content_hash() != stored:
         raise DatasetError(f"content hash mismatch loading {path}")
     return ds
-

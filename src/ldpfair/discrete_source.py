@@ -191,9 +191,11 @@ def sample(src: JointSourceUSX, n: int, seed: int) -> np.ndarray:
 # then row-major entries.
 
 
-def save_source(src: JointSourceUSX, path: str | Path) -> None:
-    lines = [f"{src.card_u} {src.card_s} {src.card_x}"]
-    lines += [f"{v:.17g}" for v in src.probs.reshape(-1)]
+def _save_table(path: str | Path, table: np.ndarray) -> None:
+    """A source or channel file: `table`'s shape as the header, then its
+    entries in row-major order."""
+    lines = [" ".join(str(n) for n in table.shape)]
+    lines += [f"{v:.17g}" for v in table.reshape(-1)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -220,14 +222,16 @@ def _load_table(path: str | Path, axes: int) -> np.ndarray:
     return body.reshape(shape)
 
 
+def save_source(src: JointSourceUSX, path: str | Path) -> None:
+    _save_table(path, src.probs)
+
+
 def load_source(path: str | Path) -> JointSourceUSX:
     return new_joint(_load_table(path, 3))
 
 
 def save_channel(ch: Channel, path: str | Path) -> None:
-    lines = [f"{ch.in_card} {ch.out_card}"]
-    lines += [f"{v:.17g}" for v in ch.rows.reshape(-1)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _save_table(path, ch.rows)
 
 
 def load_channel(path: str | Path) -> Channel:

@@ -29,7 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import ColumnSpec, TabularDataset
+from .datasets import (
+    ColumnSpec,
+    TabularDataset,
+    load_checkpoint,
+    save_checkpoint,
+    schema_from_json,
+    schema_to_json,
+)
 from .discrete_source import Channel, JointSourceUSX, compose, induced_joint
 from .errors import DatasetError, DivergenceError, PreconditionError
 from .ldp_mechanisms import (
@@ -497,7 +504,7 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
         "card_u": model.card_u,
         "card_s": model.card_s,
         "code_dim": model.code_dim,
-        "schema": [(c.name, c.kind, c.size, list(c.categories)) for c in model.schema],
+        "schema": schema_to_json(model.schema),
         "mechanism": (
             {"kind": "rr", "epsilon": mech.epsilon, "k": mech.k, "d": mech.d}
             if model.discrete
@@ -505,20 +512,19 @@ def save_model(model: EncoderModel, path: str | Path) -> None:
         ),
     }
     arrays = {f"p{i}": p.data for i, p in enumerate(model.parameters())}
-    ad.save_checkpoint(path, meta, arrays)
+    save_checkpoint(path, meta, arrays)
 
 
 def load_model(path: str | Path) -> EncoderModel:
-    meta, arrays = ad.load_checkpoint(path)
+    meta, arrays = load_checkpoint(path)
     try:
         spec = meta["mechanism"]
         # each field save_model writes is required: no default of the spec
         # reader may stand in for the trained model's value
         fields = ("kind", "epsilon", "d", "k" if spec["kind"] == "rr" else "t")
         mech = mechanism_from_spec({f: spec[f] for f in fields})
-        schema = [ColumnSpec(n, k, sz, tuple(cats)) for n, k, sz, cats in meta["schema"]]
         model = EncoderModel(
-            schema, mech, card_u=meta["card_u"], card_s=meta["card_s"],
+            schema_from_json(meta["schema"]), mech, card_u=meta["card_u"], card_s=meta["card_s"],
             code_dim=meta["code_dim"] or DEFAULT_CODE_DIM,
         )
     except (KeyError, TypeError, ValueError, PreconditionError) as exc:

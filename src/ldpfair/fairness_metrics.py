@@ -1,8 +1,8 @@
 """Group fairness gaps, downstream utility, and attacker-style leakage.
 
 Demographic-parity and equalized-odds gaps are computed from hard
-predictions.  Downstream utility and the sensitive-recovery attack both
-use the same small MLP classifier trained on frozen randomized
+predictions of the trained utility decoder.  The sensitive-recovery
+attack is a small MLP classifier trained on frozen randomized
 representations; leakage in nats comes from the plug-in estimator for
 discrete codes and, for Laplace-noised vectors, the known-noise
 Laplace-mixture estimator over the test split.
@@ -10,9 +10,7 @@ Laplace-mixture estimator over the test split.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +23,7 @@ from .info_measures import laplace_mixture_mi, plugin_mi
 DOWNSTREAM_EPOCHS = 40
 DOWNSTREAM_BATCH = 256
 DOWNSTREAM_LR = 1e-3
+DOWNSTREAM_TEST_FRACTION = 0.3
 
 
 def delta_dp(preds, s) -> float:
@@ -73,17 +72,15 @@ class DownstreamClassifier:
     degenerate: bool = False  # single-class labels: accuracy 1 is trivial
 
 
-def train_downstream(
-    representations, labels, seed: int, test_fraction: float = 0.3
-) -> DownstreamClassifier:
+def train_downstream(representations, labels, seed: int) -> DownstreamClassifier:
     """Fit a 1-hidden-layer (100-unit) MLP with Adam on a seeded split.
 
     The labels are class indices 0, 1, ...: whole numbers, ints or floats
     such as 0.0 and 1.0, and never negative; anything else raises
     PreconditionError.  The reported accuracy is on the held-out
-    fraction.  Constant labels are not an error here: the classifier is
-    trivially perfect and the result is flagged degenerate so callers can
-    discount it.  Each minibatch's mean negative log-likelihood is
+    `DOWNSTREAM_TEST_FRACTION` of the rows.  Constant labels are not an
+    error here: the classifier is trivially perfect and the result is
+    flagged degenerate so callers can discount it.  Each minibatch's mean negative log-likelihood is
     differentiated by `autodiff.MlpPass` into one flat gradient buffer for
     Adam, bit for bit the gradient the tape would give, and the held-out
     predictions come from the same pass's forward.
@@ -108,7 +105,7 @@ def train_downstream(
         return DownstreamClassifier(net=net, accuracy=1.0, degenerate=True)
 
     order = rng.permutation(z.shape[0])
-    cut = max(1, int(round(z.shape[0] * (1.0 - test_fraction))))
+    cut = max(1, int(round(z.shape[0] * (1.0 - DOWNSTREAM_TEST_FRACTION))))
     tr, te = order[:cut], order[cut:]
     params = net.parameters()
     opt = ad.AdamState(lr=DOWNSTREAM_LR)
@@ -149,12 +146,6 @@ class EvalReport:
     sensitive_accuracy_std: float
     seeds: list[int] = field(default_factory=list)
     per_seed: dict = field(default_factory=dict)
-
-    def to_json(self, path: str | Path, extra: dict | None = None) -> None:
-        payload = dict(self.__dict__)
-        if extra:
-            payload.update(extra)
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def full_report(model: EncoderModel, test_ds: TabularDataset, seeds: list[int]) -> EvalReport:

@@ -418,18 +418,17 @@ def check_corollary2(
     gamma: float,
     budget: int = 1_000_000,
     cfg: SolverConfig | None = None,
-    slack: float = 1e-3,
-    beta_grid=None,
 ) -> dict:
     """Checkable claims of the budget-equals-floor corollary, as a report.
 
-    At eps = gamma * (1 + slack) the utility floor is out of reach for every
+    At eps = gamma * 1.001 the utility floor is out of reach for every
     encoder: Gamma <= I(X;Z) <= C_RR(eps) < gamma, where C_RR(eps) =
     log k - H(rr row) is the randomized-response channel's capacity.  The
-    report checks that chain on the solver's frontier across the beta grid.
-    At the smallest eps in {1, ..., 5} whose frontier reaches Gamma >= gamma,
-    it checks that the brute-force oracle lower-bounds the smallest feasible
-    leakage and that the main guarantee holds at that point.  The
+    report checks that chain on the solver's frontier across the beta grid
+    logspace(-2, 3, 6).  At the smallest eps in {1, ..., 5} whose frontier
+    reaches Gamma >= gamma, it checks that the brute-force oracle
+    lower-bounds the smallest feasible leakage and that the main guarantee
+    holds at that point.  The
     solver-oracle gap is recorded, not checked: the solver maximizes
     nu + beta * Gamma, whose maximizer need not be the leakage minimizer.
     ``report["pass"]`` is true iff every claim holds.
@@ -438,9 +437,9 @@ def check_corollary2(
         raise PreconditionError(f"gamma must be finite and > 0, got {gamma}")
     cfg = cfg if cfg is not None else SolverConfig()
     zhat_card = cfg.zhat_card if cfg.zhat_card is not None else src.card_x
-    betas = beta_grid if beta_grid is not None else np.logspace(-2, 3, 6)
+    betas = np.logspace(-2, 3, 6)
 
-    mech = RandomizedResponse(epsilon=gamma * (1.0 + slack), k=zhat_card, d=1)
+    mech = RandomizedResponse(epsilon=gamma * 1.001, k=zhat_card, d=1)
     capacity = math.log(zhat_card) - entropy(rr_channel(mech).rows[0])
     points = trace_frontier(src, mech, betas, cfg)
     max_ixz = np.max([p.ixz for p in points])  # a NaN point fails the checks below

@@ -20,7 +20,7 @@ from .errors import PreconditionError
 
 VERIFY_TOL = 1e-9
 COORD_TOL = 1e-9
-DEFAULT_CHANNEL_CAP = 4096
+CHANNEL_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,11 @@ def rr_randomize(zhat, mech: RandomizedResponse, rng: np.random.Generator) -> np
     return np.where(keep, z, (z + offset) % mech.k)
 
 
-def rr_channel(mech: RandomizedResponse, cap: int = DEFAULT_CHANNEL_CAP) -> Channel:
+def rr_channel(mech: RandomizedResponse) -> Channel:
     """Exact k^d x k^d channel matrix: tensor power of the per-dimension form."""
     size = mech.k**mech.d
-    if size > cap:
-        raise PreconditionError(f"channel would have {size} outputs, cap is {cap}")
+    if size > CHANNEL_CAP:
+        raise PreconditionError(f"channel would have {size} outputs, cap is {CHANNEL_CAP}")
     single = np.full((mech.k, mech.k), mech.flip_prob)
     np.fill_diagonal(single, mech.keep_prob)
     rows = np.ones((1, 1))

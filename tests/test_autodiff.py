@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ldpfair import DatasetError, DimensionMismatchError, PreconditionError
+from ldpfair import DimensionMismatchError, PreconditionError
 from ldpfair import autodiff as ad
 
 
@@ -436,34 +436,3 @@ class TestAdam:
             ad.adam_step([p], st, grads=[2.0 * p.data])
         np.testing.assert_allclose(p.data, 0.0, atol=1e-4)
 
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        arrays = {"w": np.random.default_rng(0).normal(size=(3, 2)), "b": np.zeros(2)}
-        path = tmp_path / "ck.npz"
-        ad.save_checkpoint(path, {"note": "x"}, arrays)
-        meta, loaded = ad.load_checkpoint(path)
-        assert meta["note"] == "x"
-        for k in arrays:
-            np.testing.assert_array_equal(loaded[k], arrays[k])
-
-    def test_version_checked(self, tmp_path):
-        path = tmp_path / "ck.npz"
-        ad.save_checkpoint(path, {}, {"w": np.zeros(2)})
-        import json
-
-        meta = {"checkpoint_version": 999}
-        np.savez(
-            path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), w=np.zeros(2)
-        )
-        with pytest.raises(DatasetError, match="version 999"):
-            ad.load_checkpoint(path)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_array_rejected(self, tmp_path, bad):
-        path = tmp_path / "ck.npz"
-        w = np.zeros((3, 2))
-        w[1, 0] = bad
-        ad.save_checkpoint(path, {}, {"b": np.zeros(2), "w": w, "order": np.arange(3)})
-        with pytest.raises(DatasetError, match=r"ck\.npz.*'w'"):
-            ad.load_checkpoint(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpfair import ConfigError, cli, random_source
+from ldpfair import ConfigError, cli, full_report, load_model, random_source
 from ldpfair.cli import KEYS, check_config, config_hash, main, parse_config
+from ldpfair.datasets import load_checkpoint, save_checkpoint
 from ldpfair.discrete_source import save_source
 
 
@@ -144,6 +146,19 @@ class TestCommands:
         report = json.loads((tmp_path / "report.json").read_text())
         assert "config_hash" in report
         assert 0.0 <= report["accuracy_mean"] <= 1.0
+
+    def test_evaluate_report_json_round_trip(self, tmp_path):
+        # report.json holds the report's fields and the config hash
+        text = SYNTH_CFG.replace("mechanism=laplace", "mechanism=rr\nk=4\nd=2")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        loaded = json.loads((tmp_path / "report.json").read_text())
+        _, test_ds = cli._load_dataset_pair(check_config(parse_config(text)), tmp_path)
+        rep = full_report(load_model(tmp_path / "model.npz"), test_ds, [0])
+        assert set(loaded) == {f.name for f in dataclasses.fields(rep)} | {"config_hash"}
+        assert loaded["config_hash"] == config_hash(parse_config(text))
+        assert loaded["accuracy_mean"] == rep.accuracy_mean
 
     def test_frontier_artifact(self, tmp_path):
         cfg = write_cfg(
@@ -368,12 +383,10 @@ class TestCommands:
          "mechanism-text", "no-t"],
     )
     def test_foreign_checkpoint_exits_4(self, tmp_path, capsys, damage):
-        from ldpfair import autodiff as ad
-
         cfg = write_cfg(tmp_path, SYNTH_CFG)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         path = tmp_path / "model.npz"
-        meta, arrays = ad.load_checkpoint(path)
+        meta, arrays = load_checkpoint(path)
         if damage == "version":
             meta["checkpoint_version"] = 2
             np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
@@ -394,21 +407,19 @@ class TestCommands:
                 meta["mechanism"] = "rr"
             else:  # a default t must not stand in for the trained one
                 del meta["mechanism"]["t"]
-            ad.save_checkpoint(path, meta, arrays)
+            save_checkpoint(path, meta, arrays)
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
 
     def test_non_finite_checkpoint_exits_4(self, tmp_path, capsys):
-        from ldpfair import autodiff as ad
-
         cfg = write_cfg(tmp_path, SYNTH_CFG)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         path = tmp_path / "model.npz"
-        meta, arrays = ad.load_checkpoint(path)
+        meta, arrays = load_checkpoint(path)
         arrays["p0"][0, 0] = np.nan
-        ad.save_checkpoint(path, meta, arrays)
+        save_checkpoint(path, meta, arrays)
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err

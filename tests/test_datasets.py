@@ -1,3 +1,6 @@
+import ast
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +21,10 @@ from ldpfair import (
 )
 from ldpfair.datasets import (
     ADULT_COLUMNS,
+    load_checkpoint,
     load_compas,
     preprocess_adult,
+    save_checkpoint,
 )
 
 ADULT_ROW = (
@@ -200,6 +205,82 @@ class TestSerialization:
             )
 
 
+class TestCheckpoint:
+    def test_round_trip(self, tmp_path):
+        arrays = {"w": np.random.default_rng(0).normal(size=(3, 2)), "b": np.zeros(2)}
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, {"note": "x"}, arrays)
+        meta, loaded = load_checkpoint(path)
+        assert meta["note"] == "x"
+        for k in arrays:
+            np.testing.assert_array_equal(loaded[k], arrays[k])
+
+    def test_version_checked(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, {}, {"w": np.zeros(2)})
+        meta = {"checkpoint_version": 999}
+        np.savez(
+            path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), w=np.zeros(2)
+        )
+        with pytest.raises(DatasetError, match="version 999"):
+            load_checkpoint(path)
+
+    def test_header_not_a_mapping_rejected(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        np.savez(path, __meta__=np.frombuffer(b"[1]", dtype=np.uint8), w=np.zeros(2))
+        with pytest.raises(DatasetError, match=r"ck\.npz.*version None"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, tmp_path, bad):
+        path = tmp_path / "ck.npz"
+        w = np.zeros((3, 2))
+        w[1, 0] = bad
+        save_checkpoint(path, {}, {"b": np.zeros(2), "w": w, "order": np.arange(3)})
+        with pytest.raises(DatasetError, match=r"ck\.npz.*'w'"):
+            load_checkpoint(path)
+
+
+def saved_split(tmp_path):
+    src = random_source(2, 2, 3, seed=4)
+    spec = SyntheticSpec(source=src, means=np.eye(3), sigma=0.5, n_train=50, n_test=50, seed=0)
+    train, _ = generate_synthetic(spec)
+    path = tmp_path / "ds.npz"
+    save_dataset(train, path)
+    return path
+
+
+class TestDamagedDataset:
+    @pytest.mark.parametrize(
+        "damage", ["garbage", "missing", "no-meta", "no-version", "nan-feature", "no-schema", "hash"]
+    )
+    def test_damaged_file_is_a_dataset_error(self, tmp_path, damage):
+        path = saved_split(tmp_path)
+        meta, arrays = load_checkpoint(path)
+        if damage == "garbage":
+            path.write_bytes(b"not an archive\x00\x01")
+        elif damage == "missing":
+            path.unlink()
+        elif damage == "no-meta":
+            np.savez(path, **arrays)
+        elif damage == "no-version":  # the header of an earlier format
+            del meta["checkpoint_version"]
+            meta["format_version"] = 1
+            np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        elif damage == "nan-feature":  # saved with a content hash that matches
+            ds = load_dataset(path)
+            ds.features[0, 0] = np.nan
+            save_dataset(ds, path)
+        else:
+            if damage == "no-schema":
+                del meta["schema"]
+            else:  # arrays that no longer match the stored content hash
+                arrays["u"][0] = 1 - arrays["u"][0]
+            save_checkpoint(path, meta, arrays)
+        with pytest.raises(DatasetError, match=re.escape(str(path))):
+            load_dataset(path)
+
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -283,3 +364,76 @@ class TestTabularFixtures:
         np.testing.assert_array_equal(
             feature_block(train, "c_charge_degree")[rows], [[1, 0], [1, 0], [1, 0], [0, 1], [1, 0], [0, 1], [1, 0]]
         )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ldpfair"
+# the one writer of each artifact format, by qualified function name
+WRITERS = {
+    "datasets.save_checkpoint",  # the .npz archive of datasets and models
+    "cli._write_json",
+    "cli._write_csv",
+    "discrete_source._save_table",  # source and channel tables
+    "cli.cmd_sweep",  # sweep_failures.txt
+    "datasets.fetch_uci_adult",  # the raw download cache
+}
+
+
+def _write_mode(call: ast.Call, pos: int) -> bool:
+    """Whether an open call's mode, the keyword or argument `pos`, may write."""
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None and len(call.args) > pos:
+        mode = call.args[pos]
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+"))
+
+
+def _writes(call: ast.Call) -> bool:
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id == "open" and _write_mode(call, 1)
+    if not isinstance(f, ast.Attribute):
+        return False
+    if f.attr in ("savez", "savez_compressed", "write_text", "write_bytes", "tofile"):
+        return True
+    if f.attr in ("save", "dump") and isinstance(f.value, ast.Name) and f.value.id in ("np", "json"):
+        return True
+    return f.attr == "open" and _write_mode(call, 0)  # Path.open(mode)
+
+
+def file_writers(sources: dict[str, str]) -> dict[str, list[int]]:
+    """Qualified name of each function (or the module) that writes a file
+    -> the lines of its writing calls."""
+    found: dict[str, list[int]] = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _writes(child):
+                found.setdefault(scope, []).append(child.lineno)
+            visit(child, scope)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module)
+    return found
+
+
+class TestOneWriterPerFormat:
+    def test_scan_finds_every_kind_of_write(self):
+        code = (
+            "def a(p):\n    np.savez(p, x=1)\n"
+            "def b(p):\n    p.write_text('x')\n"
+            "def c(p):\n    with open(p, 'w', newline='') as f:\n        pass\n"
+            "def d(p):\n    p.open(mode='a')\n"
+            "class E:\n    def f(self, p):\n        json.dump({}, open(p, 'r+'))\n"
+            "def g(p):\n    open(p)\n    open(p, newline='')\n    p.open('rb')\n    np.load(p)\n"
+        )
+        assert sorted(file_writers({"m": code})) == ["m.E.f", "m.a", "m.b", "m.c", "m.d"]
+
+    def test_only_the_listed_functions_write_files(self):
+        found = file_writers({p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))})
+        extra = {name: lines for name, lines in found.items() if name not in WRITERS}
+        assert not extra, f"a second writer of an artifact format: {extra}"
+        assert set(found) == WRITERS

@@ -26,6 +26,7 @@ from ldpfair import (
 )
 from ldpfair import autodiff as ad
 from ldpfair import fair_encoder as fe
+from ldpfair.datasets import load_checkpoint, save_checkpoint
 from ldpfair.fair_encoder import EncoderModel
 
 
@@ -315,12 +316,12 @@ class TestCheckpoint:
         model = EncoderModel(tr.schema, RandomizedResponse(epsilon=2.0, k=4, d=2), seed=0)
         path = tmp_path / "model.npz"
         save_model(model, path)
-        meta, arrays = ad.load_checkpoint(path)
+        meta, arrays = load_checkpoint(path)
         if damage == "shape":
             arrays["p0"] = arrays["p0"][:-1]
         else:
             del arrays[f"p{len(arrays) - 1}"]
-        ad.save_checkpoint(path, meta, arrays)
+        save_checkpoint(path, meta, arrays)
         with pytest.raises(DatasetError, match="model.npz"):
             load_model(path)
 

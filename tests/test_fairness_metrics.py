@@ -204,14 +204,3 @@ class TestFullReport:
         model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2), epochs=1)
         with pytest.raises(PreconditionError):
             full_report(model, te, seeds=[])
-
-    def test_json_round_trip(self, tmp_path):
-        model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=4, d=2), epochs=1)
-        rep = full_report(model, te, seeds=[0])
-        path = tmp_path / "report.json"
-        rep.to_json(path, extra={"config_hash": "abc"})
-        import json
-
-        loaded = json.loads(path.read_text())
-        assert loaded["config_hash"] == "abc"
-        assert loaded["accuracy_mean"] == rep.accuracy_mean

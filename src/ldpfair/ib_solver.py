@@ -9,14 +9,15 @@ restart and every beta of a frontier at once, and every reported quantity
 is recomputed exactly.  A brute-force candidate search over raw channels
 is the independent oracle for min I(S;Z) subject to I(U;Z) >= gamma:
 random candidates come in chunks of 12.5k, each drawn from its own
-spawned seed stream, and up to two worker threads each draw and score
-whole chunks.  `_batched_mi_terms` scores a chunk with the candidate axis
-innermost, in the (A, Z, B) layout: one matrix product gives p(a, z) for
-every candidate, and the I(A;Z) terms are formed in place and folded over
+spawned seed stream as rows of Exp(1)^(1/alpha) draws over their sum, and
+up to two worker threads each draw and score whole chunks.
+`_batched_mi_terms` scores a chunk with the candidate axis innermost, in
+the (A, Z, B) layout: one matrix product gives p(a, z) for every
+candidate, and the I(A;Z) terms are formed in place and folded over
 (a, z) in numpy's pairwise order, so every score has the bits of the
-former (B, A, Z) formula.  The chunks' results are folded in chunk order
-with the first-minimum rule, so the answer equals a serial pass over the
-same chunk streams, whatever the worker count.
+former (B, A, Z) formula.  The chunks' results are folded in chunk
+order with the first-minimum rule, so the answer equals a serial pass
+over the same chunk streams, whatever the worker count.
 
 Only the discrete randomized-response mechanism is admitted here: it has
 an exact finite channel form, so the theory checks are enumerations, not
@@ -286,10 +287,10 @@ def check_theorem1(pt: FrontierPoint, gamma: float, tol: float = 1e-6) -> tuple[
 
 # -- brute-force oracle ------------------------------------------------------
 
-_CONCENTRATIONS = (0.05, 0.2, 1.0, 5.0)  # Dirichlet concentrations of the random candidates
+_CONCENTRATIONS = (0.05, 0.2, 1.0, 5.0)  # alpha of the random rows Exp(1)^(1/alpha), normalized
 _CHUNK = 12_500  # random candidates per drawn and scored chunk
 # Threads that draw and score chunks: the usable cores, at most 2.  Draws
-# take about 85% of the oracle's CPU, and two workers were measured on a
+# take about 60% of the oracle's CPU, and two workers were measured on a
 # 2-core box; more than 2 is unmeasured.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -339,27 +340,33 @@ def solve_G_bruteforce(
 ) -> tuple[float, Channel]:
     """Oracle minimum of I(S;Z) subject to I(U;Z) >= gamma - 1e-6.
 
-    Searches deterministic channels plus Dirichlet-sampled random
-    channels at several concentrations; intended for |X| <= 4, |Z| <= 4
-    where the candidate cloud covers the feasible set densely.
+    Searches deterministic channels plus random channels at several
+    concentrations alpha; intended for |X| <= 4, |Z| <= 4 where the
+    candidate cloud covers the feasible set densely.  Each random row is
+    |Z| draws of Exp(1)^(1/alpha) divided by their sum: Dirichlet(1) at
+    alpha = 1, not Dirichlet at other alpha, but concentrated on the
+    vertices as alpha -> 0 and on the uniform row as alpha grows.  Every
+    step of the draw releases the GIL, so the workers draw in parallel.
 
     The random candidates come in chunks of _CHUNK, concentration by
-    concentration.  Chunk c draws from its own stream, child c of
-    ``SeedSequence(seed).spawn``; a spawned child appends its spawn key
-    after the padded entropy, so no chunk stream equals a solver
-    restart's ``default_rng([seed, r])``.  _WORKERS threads each draw and
-    score whole chunks, and the chunks' best candidates are folded in
-    chunk order after the deterministic channels.  A later candidate
+    concentration.  Chunk c draws from its own stream, made when it is
+    drawn: ``SeedSequence(seed, spawn_key=(c,))``, child c of
+    ``SeedSequence(seed).spawn``.  A spawned child appends its spawn key
+    after the padded entropy, so no chunk stream equals a solver restart's
+    ``default_rng([seed, r])``.  _WORKERS threads each draw and score
+    whole chunks, at most 2 * _WORKERS of them submitted and not yet
+    folded, whatever the budget.  The chunks' best candidates are folded
+    in chunk order after the deterministic channels.  A later candidate
     replaces the best only if its leakage is strictly lower, so the first
     minimum wins and the answer does not depend on the worker count.
     """
     card_z = card_z if card_z is not None else src.card_x
-    if src.card_x > 4 or card_z > 4:
-        raise PreconditionError("oracle regime is |X| <= 4 and |Z| <= 4")
+    if src.card_x > 4 or not 1 <= card_z <= 4:
+        raise PreconditionError(f"oracle regime is |X| <= 4 and 1 <= |Z| <= 4, got {src.card_x} and {card_z}")
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
-    if budget < 1:
-        raise PreconditionError(f"budget must be >= 1, got {budget}")
+    if not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise PreconditionError(f"budget must be an integer >= 1, got {budget!r}")
     if not math.isfinite(gamma):
         raise PreconditionError(f"gamma must be finite, got {gamma}")
     p_ux, p_sx = src.p_ux(), src.p_sx()
@@ -383,22 +390,29 @@ def solve_G_bruteforce(
     det = np.eye(card_z)[np.arange(card_z**src.card_x)[:, None] // card_z ** np.arange(src.card_x) % card_z]
 
     per_conc = max(budget - len(det), 0) // len(_CONCENTRATIONS)
-    chunks = [
-        (alpha, min(_CHUNK, per_conc - done))
-        for alpha in _CONCENTRATIONS
-        for done in range(0, per_conc, _CHUNK)
-    ]
-    streams = np.random.SeedSequence(seed).spawn(len(chunks))
+    per_alpha = -(-per_conc // _CHUNK)  # chunks per concentration, the last one partial
+    n_chunks, ahead = per_alpha * len(_CONCENTRATIONS), 2 * _WORKERS
 
     def job(c: int) -> tuple[float, np.ndarray | None]:
-        alpha, size = chunks[c]
-        rng = np.random.default_rng(streams[c])
-        return best(rng.dirichlet(np.full(card_z, alpha), size=(size, src.card_x)))
+        alpha, size = _CONCENTRATIONS[c // per_alpha], min(_CHUNK, per_conc - c % per_alpha * _CHUNK)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))  # child c of spawn
+        e = rng.standard_exponential((size, src.card_x, card_z))
+        if alpha != 1.0:
+            np.power(e, 1 / alpha, out=e)
+        total = e[..., 0].copy()  # the row sums, added in z-order: half the time of e.sum(axis=2)
+        for z in range(1, card_z):
+            total += e[..., z]
+        e /= total[..., None]
+        return best(e)
 
     best_leak, best_channel = best(det)
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         try:
-            for leak, channel in pool.map(job, range(len(chunks))):
+            window = [pool.submit(job, c) for c in range(min(ahead, n_chunks))]  # chunk c at c % ahead
+            for c in range(n_chunks):
+                leak, channel = window[c % ahead].result()
+                if c + ahead < n_chunks:
+                    window[c % ahead] = pool.submit(job, c + ahead)
                 if leak < best_leak:
                     best_leak, best_channel = leak, channel
         except BaseException:

@@ -260,6 +260,13 @@ class TestBruteForceOracle:
         assert a == b
 
 
+def exp_power_rows(stream, alpha, size, k):
+    """`size` random k x k channels from `stream`, each row k draws of
+    Exp(1)^(1/alpha) divided by their sum."""
+    e = np.random.default_rng(stream).standard_exponential((size, k, k)) ** (1 / alpha)
+    return e / e.sum(axis=2, keepdims=True)
+
+
 def serial_oracle(src, gamma, budget, seed):
     """The oracle's search written as one serial pass: every deterministic
     channel, then each chunk drawn in order from its own spawned stream."""
@@ -270,7 +277,7 @@ def serial_oracle(src, gamma, budget, seed):
     sizes = [(a, min(ib_solver._CHUNK, per_conc - done))
              for a in (0.05, 0.2, 1.0, 5.0) for done in range(0, per_conc, ib_solver._CHUNK)]
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    draws = [np.random.default_rng(st).dirichlet(np.full(k, a), size=(n, k)) for st, (a, n) in zip(streams, sizes)]
+    draws = [exp_power_rows(st, a, n, k) for st, (a, n) in zip(streams, sizes)]
     cands = np.concatenate([det] + draws)
     feasible = cands[_batched_mi_terms(src.p_ux(), cands) >= gamma - 1e-6]
     leak = _batched_mi_terms(src.p_sx(), feasible)
@@ -314,10 +321,118 @@ class TestOraclePipeline:
         for stream in np.random.SeedSequence(seed).spawn(n_chunks):
             assert tuple(stream.generate_state(8)) not in restarts
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_lazy_streams_are_the_spawned_children(self, monkeypatch, seed):
+        src = random_source(2, 2, 3, seed=1)
+        n_chunks = 4 * -(-((self.BUDGET - 27) // 4) // ib_solver._CHUNK)
+        made, default_rng = [], np.random.default_rng
+
+        def recording(stream):
+            made.append((stream.spawn_key, tuple(stream.generate_state(8))))
+            return default_rng(stream)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        solve_G_bruteforce(src, 0.5 * mutual_information(src.p_ux()), budget=self.BUDGET, seed=seed)
+        children = np.random.SeedSequence(seed).spawn(n_chunks)
+        assert sorted(made) == [((c,), tuple(children[c].generate_state(8))) for c in range(n_chunks)]
+
+    def candidate_batches(self, monkeypatch, src, alpha, budget):
+        """Every batch the oracle scores against p(u, x) at gamma = 0, with
+        all random candidates drawn at one concentration `alpha`."""
+        batches, mi_terms = [], ib_solver._batched_mi_terms
+
+        def recording(probs, channels):
+            if np.array_equal(probs, src.p_ux()):
+                batches.append(channels.copy())
+            return mi_terms(probs, channels)
+
+        monkeypatch.setattr(ib_solver, "_CONCENTRATIONS", (alpha,))
+        monkeypatch.setattr(ib_solver, "_batched_mi_terms", recording)
+        solve_G_bruteforce(src, 0.0, budget=budget, seed=3)
+        return batches
+
+    @pytest.mark.parametrize("alpha", ib_solver._CONCENTRATIONS)
+    def test_candidate_rows_are_distributions(self, monkeypatch, alpha):
+        src = random_source(2, 2, 4, seed=2)
+        batches = self.candidate_batches(monkeypatch, src, alpha, 256 + 2 * ib_solver._CHUNK)
+        assert sum(map(len, batches)) == 256 + 2 * ib_solver._CHUNK
+        for channels in batches:
+            assert np.isfinite(channels).all() and (channels >= 0).all()
+            np.testing.assert_allclose(channels.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", ib_solver._CONCENTRATIONS)
+    def test_candidates_are_the_written_out_family(self, monkeypatch, alpha):
+        monkeypatch.setattr(ib_solver, "_WORKERS", 1)  # the chunks scored in chunk order
+        src = random_source(2, 2, 3, seed=2)
+        sizes = [ib_solver._CHUNK, ib_solver._CHUNK, 100]
+        batches = self.candidate_batches(monkeypatch, src, alpha, 27 + sum(sizes))
+        assert [len(b) for b in batches] == [27] + sizes  # the deterministic channels first
+        for stream, size, channels in zip(np.random.SeedSequence(3).spawn(3), sizes, batches[1:]):
+            np.testing.assert_array_equal(channels, exp_power_rows(stream, alpha, size, 3))
+
+    @pytest.mark.parametrize("card_x", [3, 4])
+    def test_candidates_at_alpha_one_are_dirichlet_one(self, monkeypatch, card_x):
+        # one entry of a Dirichlet(1) row over k outcomes has mean 1/k and
+        # variance (k - 1) / (k^2 (k + 1)); 8 chunks give 10^5 rows per x
+        src = random_source(2, 2, card_x, seed=2)
+        k = card_x
+        batches = self.candidate_batches(monkeypatch, src, 1.0, k**k + 8 * ib_solver._CHUNK)
+        entry = np.concatenate([b[:, :, 0].ravel() for b in batches if len(b) == ib_solver._CHUNK])
+        assert len(entry) == 8 * ib_solver._CHUNK * k
+        assert abs(entry.mean() - 1 / k) < 2e-3  # standard error about 5e-4
+        assert abs(entry.var() - (k - 1) / (k**2 * (k + 1))) < 1e-3  # standard error about 2e-4
+
+    def test_huge_budget_makes_a_bounded_number_of_streams(self, monkeypatch):
+        # 10^11 candidates make 8 * 10^6 chunks; a stream or a future for
+        # each of them, made before the first draw, takes gigabytes
+        src = random_source(2, 2, 3, seed=4)
+        made, submitted = [], []
+
+        class CountedSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("spawn_key"))
+                super().__init__(*args, **kwargs)
+
+            def spawn(self, n_children):
+                raise AssertionError(f"{n_children} streams spawned at once")
+
+        class CountedPool(ib_solver.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args[1:])
+                if len(submitted) > 100:
+                    raise AssertionError("a future for every chunk")
+                return super().submit(*args, **kwargs)
+
+        def first_draw_fails(stream):
+            raise RuntimeError("draw stopped")
+
+        monkeypatch.setattr(ib_solver, "_WORKERS", 2)
+        monkeypatch.setattr(ib_solver, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+        monkeypatch.setattr(np.random, "default_rng", first_draw_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw stopped"):
+            solve_G_bruteforce(src, 0.5 * mutual_information(src.p_ux()), budget=10**11, seed=0)
+        assert threading.active_count() == before
+        assert 1 <= len(made) <= 4 and len(submitted) <= 4  # 2 * _WORKERS chunks in flight
+        assert set(made) <= {(c,) for c in range(4)}
+
     def test_negative_seed_rejected(self):
         src = random_source(2, 2, 3, seed=0)
         with pytest.raises(PreconditionError, match="seed"):
             solve_G_bruteforce(src, 0.0, budget=10_000, seed=-1)
+
+    @pytest.mark.parametrize("card_z", [0, -1])
+    def test_output_alphabet_below_one_rejected(self, card_z):
+        src = random_source(2, 2, 3, seed=0)
+        with pytest.raises(PreconditionError, match=r"1 <= \|Z\| <= 4"):
+            solve_G_bruteforce(src, 0.0, budget=10_000, seed=0, card_z=card_z)
+
+    @pytest.mark.parametrize("budget", [1e5, 10_000.5, "10000"])
+    def test_budget_not_an_integer_rejected(self, budget):
+        src = random_source(2, 2, 3, seed=0)
+        with pytest.raises(PreconditionError, match="budget must be an integer"):
+            solve_G_bruteforce(src, 0.05, budget=budget, seed=0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_non_finite_gamma_rejected(self, gamma):

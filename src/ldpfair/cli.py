@@ -230,12 +230,9 @@ def _load_config_source(cfg: dict):
 
 def _solver_config(cfg: dict, beta: float, seed: int) -> SolverConfig:
     return SolverConfig(
-        beta=beta,
-        restarts=cfg.get("restarts", 4),
-        iterations=cfg.get("iterations", 1500),
-        learning_rate=cfg.get("solver_lr", 0.05),
-        zhat_card=cfg.get("zhat_card"),
-        seed=seed,
+        beta=beta, seed=seed,
+        **_given(restarts=cfg.get("restarts"), iterations=cfg.get("iterations"),
+                 learning_rate=cfg.get("solver_lr"), zhat_card=cfg.get("zhat_card")),
     )
 
 

@@ -4,9 +4,12 @@ Maximizes I(X;Z|S) + beta * I(U;Z) over softmax-parameterized encoders
 composed with a fixed randomized-response channel.  The objective and its
 gradient have a closed form in the induced joint (log-ratio terms, as in
 the information bottleneck): one kernel weighs I(X;Z), I(S;Z) and I(U;Z)
-over their stacked tables in one pass, one batched Adam ascent runs every
-restart and every beta of a frontier at once, and every reported quantity
-is recomputed exactly.  A brute-force candidate search over raw channels
+over their stacked tables in one pass.  The objective is convex in the
+encoder, so a deterministic encoder is a maximizer: up to 4^4 of them,
+one kernel call scores them all at every beta of a frontier, and the
+best is the exact answer.  Above that, one batched Adam ascent runs every
+restart and every beta at once.  Every reported quantity is recomputed
+exactly.  A brute-force candidate search over raw channels
 is the independent oracle for min I(S;Z) subject to I(U;Z) >= gamma:
 random candidates come in chunks of 12.5k, each drawn from its own
 spawned seed stream as rows of Exp(1)^(1/alpha) draws over their sum, and
@@ -46,19 +49,25 @@ TIE_RTOL = 1e-12  # restart objectives this close to the best, relative to max(1
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Weight beta of I(U;Z) and the solver's settings.  restarts,
+    iterations, learning_rate, tol and seed drive only the Adam ascent,
+    which runs where |Zhat|^|X| exceeds 4^4 deterministic encoders."""
+
     beta: float = 1.0
-    restarts: int = 8
-    iterations: int = 2000
+    restarts: int = 4
+    iterations: int = 1500
     learning_rate: float = 0.05
     tol: float = 1e-7
     zhat_card: int | None = None  # defaults to |X|
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise PreconditionError(f"beta must be >= 0, got {self.beta}")
-        if self.restarts < 1 or self.iterations < 1 or self.learning_rate <= 0 or self.tol <= 0:
-            raise PreconditionError("restarts, iterations, learning_rate, tol must be positive")
+        if not 0 <= self.beta < math.inf:
+            raise PreconditionError(f"beta must be finite and >= 0, got {self.beta}")
+        if self.restarts < 1 or self.iterations < 1:
+            raise PreconditionError("restarts and iterations must be positive")
+        if not (0 < self.learning_rate < math.inf and 0 < self.tol < math.inf):
+            raise PreconditionError(f"learning_rate and tol must be finite and > 0, got {self.learning_rate}, {self.tol}")
         if self.seed < 0:
             raise PreconditionError(f"seed must be >= 0, got {self.seed}")
 
@@ -174,7 +183,56 @@ def _restart_logits(cfg: SolverConfig, card_x: int, zhat_card: int) -> np.ndarra
     ])
 
 
+def _deterministic_channels(card_x: int, card_z: int) -> np.ndarray:
+    """All card_z^card_x deterministic channels as one (B, card_x, card_z)
+    array: channel i sends x to digit x of i in base card_z, so channel 0
+    sends every x to z = 0."""
+    return np.eye(card_z)[np.arange(card_z**card_x)[:, None] // card_z ** np.arange(card_x) % card_z]
+
+
+def _first_best(values: np.ndarray) -> int:
+    """The lowest index whose value is within TIE_RTOL of the best: at
+    eps = 0 every objective is 0 up to rounding, and the choice must not
+    rest on that rounding."""
+    top = values.max()
+    return int(np.argmax(values >= top - TIE_RTOL * max(1.0, abs(top))))
+
+
 def _solve(
+    src: JointSourceUSX, mech: RandomizedResponse, betas: list[float], cfg: SolverConfig
+) -> list[FrontierPoint | None]:
+    """The best encoder at each beta, recomputed from its exact joint.
+
+    Each term is a mutual information, convex in p(z|x) = encoder @ rr, so
+    the objective is convex in the encoder and a deterministic encoder
+    reaches its maximum (Witsenhausen and Wyner, IEEE T-IT 1975).  Up to
+    4^4 of them are scored at every beta in one kernel call, with logits 0
+    at the chosen symbol and -inf elsewhere, so the softmax is exactly
+    one-hot; at eps = 0 `_first_best` picks channel 0, the constant
+    encoder.  Larger alphabets take `_ascend`.
+    """
+    zhat_card = cfg.zhat_card if cfg.zhat_card is not None else src.card_x
+    if zhat_card != mech.k**mech.d:
+        raise PreconditionError(
+            f"intermediate alphabet {zhat_card} does not match mechanism "
+            f"alphabet k^d = {mech.k**mech.d}"
+        )
+    if zhat_card**src.card_x > 4**4:
+        return _ascend(src, mech, betas, cfg)
+    rr_rows = rr_channel(mech).rows
+    det = _deterministic_channels(src.card_x, zhat_card)
+    with np.errstate(divide="ignore"):
+        logits = np.tile(np.log(det), (len(betas), 1, 1))
+    row_beta = np.repeat(betas, len(det))
+    weights = np.column_stack([np.ones_like(row_beta), -np.ones_like(row_beta), row_beta])
+    values, _ = _objective_graph(logits, _tables(src), rr_rows, weights)
+    return [
+        _exact_point(src, new_channel(det[_first_best(v)]), rr_rows, beta, mech.epsilon, True)
+        for beta, v in zip(betas, values.reshape(len(betas), len(det)))
+    ]
+
+
+def _ascend(
     src: JointSourceUSX, mech: RandomizedResponse, betas: list[float], cfg: SolverConfig
 ) -> list[FrontierPoint | None]:
     """Adam ascent of every (beta, restart) pair as one batch of logits.
@@ -183,18 +241,12 @@ def _solve(
     betas[b].  A row stops once its objective moves by less than cfg.tol
     or becomes non-finite; the rows still running share Adam's step count,
     so each follows the trajectory it would follow alone.  Per beta, the
-    restart with the best objective before its last step wins, and the
-    point is recomputed from its exact joint; None marks a beta with a
-    non-finite restart.  Restarts within TIE_RTOL of the best tie, and the
-    lowest of them wins: at eps = 0 every objective is 0 up to rounding,
-    and the choice must not rest on that rounding.
+    restart with the best objective before its last step wins, the lowest
+    of those within TIE_RTOL of it (`_first_best`), and the point is
+    recomputed from its exact joint; None marks a beta with a non-finite
+    restart.
     """
-    zhat_card = cfg.zhat_card if cfg.zhat_card is not None else src.card_x
-    if zhat_card != mech.k**mech.d:
-        raise PreconditionError(
-            f"intermediate alphabet {zhat_card} does not match mechanism "
-            f"alphabet k^d = {mech.k**mech.d}"
-        )
+    zhat_card = mech.k**mech.d
     rr_rows = rr_channel(mech).rows
     tables = _tables(src)
     logits = np.tile(_restart_logits(cfg, src.card_x, zhat_card), (len(betas), 1, 1))
@@ -230,19 +282,20 @@ def _solve(
         if not finite[rows].all():
             points.append(None)
             continue
-        top = last[rows].max()
-        ties = last[rows] >= top - TIE_RTOL * max(1.0, abs(top))
-        best = b * cfg.restarts + int(np.argmax(ties))  # the first True: the lowest tied restart
+        best = b * cfg.restarts + _first_best(last[rows])
         enc = new_channel(ad.ACTIVATIONS["softmax"][0](logits[best]))
         points.append(_exact_point(src, enc, rr_rows, beta, mech.epsilon, bool(converged[best])))
     return points
 
 
 def solve_g(src: JointSourceUSX, mech: RandomizedResponse, cfg: SolverConfig) -> FrontierPoint:
-    """Gradient-ascent maximization of I(X;Z|S) + beta I(U;Z).
+    """The encoder maximizing I(X;Z|S) + beta I(U;Z), with its reported
+    quantities recomputed from the exact joint.
 
-    Multi-restart Adam over encoder logits; the best restart wins and its
-    reported quantities are recomputed from the final exact joint.
+    Up to 4^4 deterministic encoders, the best of them is the exact
+    maximum and the point has converged = True.  Above that, a multi-restart
+    Adam ascent over encoder logits, driven by cfg's restarts, iterations,
+    learning_rate, tol and seed, gives the best restart.
     """
     (pt,) = _solve(src, mech, [cfg.beta], cfg)
     if pt is None:
@@ -254,13 +307,18 @@ def trace_frontier(
     src: JointSourceUSX, mech: RandomizedResponse, beta_grid, cfg: SolverConfig
 ) -> list[FrontierPoint]:
     """One solved point per beta, in ascending beta order, all solved in
-    one batch; a beta whose ascent diverged is recorded as an unconverged
-    NaN point rather than aborting the sweep."""
-    betas = sorted(float(b) for b in beta_grid)
+    one batch, exactly up to 4^4 deterministic encoders (as `solve_g`).
+    cfg's beta is not used; its restarts, iterations, learning_rate, tol
+    and seed drive only the ascent above that.  A beta whose ascent
+    diverged is recorded as an unconverged NaN point rather than aborting
+    the sweep."""
+    betas = [float(b) for b in beta_grid]
     if not betas:
         raise PreconditionError("beta grid is empty")
-    if betas[0] < 0:
-        raise PreconditionError(f"beta must be >= 0, got {betas[0]}")
+    bad = [b for b in betas if not 0 <= b < math.inf]
+    if bad:
+        raise PreconditionError(f"beta must be finite and >= 0, got {bad[0]}")
+    betas.sort()
     nan = math.nan
     return [
         pt if pt is not None else FrontierPoint(
@@ -386,8 +444,7 @@ def solve_G_bruteforce(
         i = int(np.argmin(leak))
         return float(leak[i]), feasible[i].copy()  # not a view pinning the chunk
 
-    # all deterministic channels (at most 4**4): channel i sends x to digit x of i in base card_z
-    det = np.eye(card_z)[np.arange(card_z**src.card_x)[:, None] // card_z ** np.arange(src.card_x) % card_z]
+    det = _deterministic_channels(src.card_x, card_z)  # at most 4^4
 
     per_conc = max(budget - len(det), 0) // len(_CONCENTRATIONS)
     per_alpha = -(-per_conc // _CHUNK)  # chunks per concentration, the last one partial

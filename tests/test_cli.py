@@ -253,6 +253,22 @@ class TestCommands:
         assert list((tmp_path / "out").iterdir()) == []  # no model, no solution
 
     @pytest.mark.parametrize(
+        "command, line",
+        [(c, ln) for c in ("frontier", "solve", "verify")
+         for ln in ("beta=nan", "beta=inf", "solver_lr=nan", "solver_lr=inf")]
+        + [("frontier", "beta=1,nan"), ("frontier", "beta=0.5,inf")],  # the frontier solves every beta
+    )
+    def test_non_finite_beta_or_solver_lr_exits_2(self, tmp_path, capsys, command, line):
+        key = line.split("=")[0]
+        text = "card_x=3\nepsilon=1\nrestarts=1\niterations=50\n" + ("" if key == "beta" else "beta=1\n")
+        cfg = write_cfg(tmp_path, f"{text}{line}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        name = "beta" if key == "beta" else "learning_rate"
+        assert "config error" in err and name in err and "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []  # no frontier, solution or report
+
+    @pytest.mark.parametrize(
         "command, text, seed",
         [
             ("train", SYNTH_CFG, "-1"),

@@ -169,7 +169,7 @@ class TestSolveG:
         starts = ib_solver._restart_logits(cfg, card_x, card_x)
         for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
             monkeypatch.setattr(ib_solver, "_restart_logits", lambda *args: starts[order])
-            for p in trace_frontier(src, mech, betas, cfg):
+            for p in ib_solver._ascend(src, mech, betas, cfg):
                 np.testing.assert_allclose(p.encoder.rows, softmax(starts[order[0]]), atol=1e-6)
 
     def test_deterministic_given_seed(self):
@@ -204,10 +204,10 @@ class TestFrontier:
         mech = RandomizedResponse(epsilon=eps, k=card_x, d=1)
         cfg = _replace(FAST, iterations=iterations, tol=tol)
         betas = [0.01, 0.1, 1.0, 10.0, 100.0]
-        pts = trace_frontier(src, mech, betas, cfg)
+        pts = ib_solver._ascend(src, mech, betas, cfg)
         assert any(p.converged for p in pts) and not all(p.converged for p in pts)
         for beta, p in zip(betas, pts):
-            solo = solve_g(src, mech, _replace(cfg, beta=beta))
+            (solo,) = ib_solver._ascend(src, mech, [beta], _replace(cfg, beta=beta))
             for f in fields(p):
                 a, b = getattr(p, f.name), getattr(solo, f.name)
                 if f.name == "encoder":
@@ -224,6 +224,88 @@ class TestFrontier:
         gammas = [p.Gamma for p in pts]
         for lo, hi in zip(gammas, gammas[1:]):
             assert hi >= lo - 1e-4  # optimizer tolerance
+
+
+def deterministic_objectives(src, mech, betas):
+    """(len(betas), |Zhat|^|X|) objectives I(X;Z) - I(S;Z) + beta I(U;Z) of
+    every deterministic encoder, each written out and scored on its joint."""
+    k, rr = mech.k, rr_channel(mech)
+    terms = []
+    for choice in itertools.product(range(k), repeat=src.card_x):
+        joint = induced_joint(src, compose(new_channel(np.eye(k)[list(choice)]), rr))
+        terms.append([mutual_information(joint.p_xz()) - mutual_information(joint.p_sz()),
+                      mutual_information(joint.p_uz())])
+    nu, gamma = np.array(terms).T
+    return nu + np.array(betas)[:, None] * gamma
+
+
+class TestExactPath:
+    BETAS = [0.01, 0.1, 1.0, 10.0, 100.0]
+
+    @pytest.mark.parametrize("card_x", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
+    def test_objective_is_the_best_deterministic_encoder(self, card_x, eps):
+        mech = RandomizedResponse(epsilon=eps, k=card_x, d=1)
+        for seed in range(10):
+            src = random_source(2, 2, card_x, seed=seed)
+            pts = trace_frontier(src, mech, self.BETAS, FAST)
+            best = deterministic_objectives(src, mech, self.BETAS).max(axis=1)
+            ascent = ib_solver._ascend(src, mech, self.BETAS, FAST)
+            for p, b, a in zip(pts, best, ascent):
+                assert p.converged
+                assert abs(p.objective - b) <= 1e-12
+                assert p.objective >= a.objective - 1e-12
+
+    @pytest.mark.parametrize("card_x", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
+    def test_no_random_encoder_beats_the_returned_point(self, card_x, eps):
+        # the objective is convex in the encoder, so no mixed encoder beats every vertex
+        mech = RandomizedResponse(epsilon=eps, k=card_x, d=1)
+        channel = rr_channel(mech).rows
+        for seed in range(10):
+            src = random_source(2, 2, card_x, seed=seed)
+            encoders = np.random.default_rng(seed).dirichlet(np.ones(card_x), size=(10_000, card_x))
+            with np.errstate(divide="ignore"):
+                logits = np.log(encoders)
+            for p in trace_frontier(src, mech, self.BETAS, FAST):
+                weights = np.tile([1.0, -1.0, p.beta], (len(logits), 1))
+                values, _ = _objective_graph(logits, ib_solver._tables(src), channel, weights)
+                assert values.max() <= p.objective + 1e-12
+
+    @pytest.mark.parametrize("card_x", [2, 3, 4])
+    def test_zero_budget_returns_the_constant_encoder(self, card_x):
+        mech = RandomizedResponse(epsilon=0.0, k=card_x, d=1)
+        constant = np.eye(card_x)[[0] * card_x]
+        for seed in range(5):
+            src = random_source(2, 2, card_x, seed=seed)
+            for p in trace_frontier(src, mech, self.BETAS, FAST):
+                np.testing.assert_array_equal(p.encoder.rows, constant)
+                assert max(p.Gamma, p.Omega, p.ixz) <= 1e-12
+
+    def test_above_the_cap_the_ascent_answers(self):
+        # 5^5 deterministic encoders: the frontier is the ascent's, unchanged
+        src = random_source(2, 2, 5, seed=1)
+        mech = RandomizedResponse(epsilon=1.0, k=5, d=1)
+        cfg = _replace(FAST, iterations=200)
+        for p, a in zip(trace_frontier(src, mech, self.BETAS, cfg), ib_solver._ascend(src, mech, self.BETAS, cfg)):
+            for f in fields(p):
+                if f.name == "encoder":
+                    np.testing.assert_array_equal(p.encoder.rows, a.encoder.rows)
+                else:
+                    np.testing.assert_equal(getattr(p, f.name), getattr(a, f.name), err_msg=f.name)
+
+    @pytest.mark.parametrize("field, value", [("beta", math.nan), ("beta", math.inf), ("beta", -1.0),
+                                              ("learning_rate", math.nan), ("learning_rate", math.inf),
+                                              ("tol", math.nan), ("tol", math.inf), ("tol", 0.0)])
+    def test_config_rejects_a_value_that_is_not_finite(self, field, value):
+        with pytest.raises(PreconditionError, match=field):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -0.5])
+    def test_frontier_rejects_a_beta_that_is_not_finite(self, beta):
+        src = random_source(2, 2, 3, seed=0)
+        with pytest.raises(PreconditionError, match="beta"):
+            trace_frontier(src, RandomizedResponse(epsilon=1.0, k=3, d=1), [1.0, beta], FAST)
 
 
 class TestBruteForceOracle:

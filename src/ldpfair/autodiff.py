@@ -591,10 +591,10 @@ def nll_and_grad(logits: np.ndarray, labels: np.ndarray, g: float = 1.0) -> tupl
 
 @dataclass
 class AdamState:
-    """Adam's settings and state.  The moments m and v have the shape of the
-    array `adam_update` steps: under `adam_step`, the flat buffer over the
-    bound parameters, raveled and concatenated in list order; a caller
-    that replaces parameters between steps resizes them to match."""
+    """Adam's settings and state.  The moments m and v have the shape of
+    `adam_step`'s flat buffer over the bound parameters, raveled and
+    concatenated in list order; a caller that replaces parameters between
+    steps resizes them to match."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -619,27 +619,6 @@ def _bind(params: list[Tensor], state: AdamState) -> None:
         p.data = view
 
 
-def adam_update(x: np.ndarray, g: np.ndarray, state: AdamState) -> None:
-    """One standard Adam step on the array x in place, for the gradient g
-    of x's shape.  The moments start as zeros of x's shape; a caller that
-    drops entries of x between steps drops the same entries of m and v."""
-    if state.m is None:
-        state.m, state.v = np.zeros_like(x), np.zeros_like(x)
-    state.step += 1
-    t = state.step
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1 - state.beta1) * g
-    v *= state.beta2
-    v += (1 - state.beta2) * g * g
-    denom = np.sqrt(v / (1 - state.beta2**t))
-    denom += state.eps
-    update = m / (1 - state.beta1**t)
-    update *= state.lr
-    update /= denom
-    x -= update
-
-
 def adam_step(params: list[Tensor], state: AdamState, grads=None) -> None:
     """Standard Adam update of the parameters in place, through one flat
     buffer bound to them.  grads: one array per parameter, or one flat
@@ -657,5 +636,19 @@ def adam_step(params: list[Tensor], state: AdamState, grads=None) -> None:
         g = np.concatenate([g.ravel() for g in grads])
     if len(params) != len(state.views) or any(p.data is not v for p, v in zip(params, state.views)):
         _bind(params, state)
-    adam_update(state.flat, g, state)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(state.flat), np.zeros_like(state.flat)
+    state.step += 1
+    t = state.step
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1 - state.beta1) * g
+    v *= state.beta2
+    v += (1 - state.beta2) * g * g
+    denom = np.sqrt(v / (1 - state.beta2**t))
+    denom += state.eps
+    update = m / (1 - state.beta1**t)
+    update *= state.lr
+    update /= denom
+    state.flat -= update
 

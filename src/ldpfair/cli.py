@@ -5,7 +5,7 @@ report.  Configuration is plain key=value text (diff-friendly experiment
 records).  `KEYS` gives every key's type and whether it takes a grid,
 e.g. ``beta=logspace(-3,3,7)`` or ``epsilon=0.5,5,1000``; `main` checks
 the config against it before any work.  A command that uses one value of
-a grid key exits 2 on a grid; verify uses the first beta.  Every artifact
+a grid key exits 2 on a grid; verify checks every beta.  Every artifact
 embeds the hash of the parsed config, so a result file can always be
 traced to the exact configuration that produced it.
 
@@ -60,7 +60,7 @@ KEYS: dict[str, tuple[type, bool]] = {
     # exact layer: source, solver and checks
     "source": (str, ONE), "card_u": (int, ONE), "card_s": (int, ONE),
     "zhat_card": (int, ONE), "restarts": (int, ONE), "iterations": (int, ONE),
-    "solver_lr": (float, ONE), "solve_epsilon": (float, ONE), "gamma": (float, ONE),
+    "solve_epsilon": (float, ONE), "gamma": (float, ONE),
     "oracle_budget": (int, ONE), "verify_sources": (int, ONE),
     "check_budget_equals_floor": (bool, ONE),
     # mechanism and training
@@ -71,8 +71,12 @@ KEYS: dict[str, tuple[type, bool]] = {
     "model": (str, ONE), "seeds": (int, GRID), "sweep": (str, GRID),
 }
 # the least value of each bounded int key: seeds of numpy generators take no
-# negative value, and an oracle budget or a source count of 0 checks nothing
-MINIMUMS = {"source_seed": 0, "data_seed": 0, "seeds": 0, "oracle_budget": 1, "verify_sources": 1}
+# negative value, an oracle budget or a source count of 0 checks nothing,
+# and an empty alphabet makes an empty source
+MINIMUMS = {
+    "source_seed": 0, "data_seed": 0, "seeds": 0, "oracle_budget": 1, "verify_sources": 1,
+    "card_u": 1, "card_s": 1, "card_x": 1,
+}
 # float keys that must be finite and > 0: a utility floor of 0 or below
 # checks nothing, and a NaN or an infinite one reaches no comparison
 POSITIVE = ("gamma",)
@@ -231,8 +235,7 @@ def _load_config_source(cfg: dict):
 def _solver_config(cfg: dict, beta: float, seed: int) -> SolverConfig:
     return SolverConfig(
         beta=beta, seed=seed,
-        **_given(restarts=cfg.get("restarts"), iterations=cfg.get("iterations"),
-                 learning_rate=cfg.get("solver_lr"), zhat_card=cfg.get("zhat_card")),
+        **_given(restarts=cfg.get("restarts"), iterations=cfg.get("iterations"), zhat_card=cfg.get("zhat_card")),
     )
 
 
@@ -308,7 +311,8 @@ def cmd_fetch_data(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> in
 
 def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     """Run every theory check; exit 0 iff all pass.  The lemmas are checked
-    at every epsilon, the bound chain at solve_epsilon and the first beta."""
+    at every epsilon, the bound chain at solve_epsilon and every beta, and
+    the collapse at epsilon 0 and every beta."""
     checks: dict[str, dict] = {}
     rng_seeds = [seed + i for i in range(cfg.get("verify_sources", 3))]
     check_floor = cfg.get("check_budget_equals_floor", False)
@@ -333,25 +337,25 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     checks["lemma1_closure"] = {"pass": lemma_ok, "worst_ratio_excess": worst_ratio}
     checks["lemma2_budget_bound"] = {"pass": worst_mi <= 1e-9, "worst_mi_excess": worst_mi}
 
-    # bound chain at a solved operating point, plus the zero-budget case
+    # bound chain at the solved point of every beta, each inequality held
+    # at all of them, plus the zero-budget case at its largest terms
     src = _load_config_source(cfg)
-    eps = cfg.get("solve_epsilon", 1.0)
-    beta = cfg.get("beta", [10.0])[0]
-    pt = solve_g(src, _solver_mechanism(cfg, src, eps), _solver_config(cfg, beta, seed))
-    ok, report = check_theorem1(pt, gamma=pt.Gamma)
-    checks["theorem1_bounds"] = {"pass": ok, **report}
+    betas = cfg.get("beta", [10.0])
+    solver_cfg = _solver_config(cfg, betas[0], seed)
+    points = trace_frontier(src, _solver_mechanism(cfg, src, cfg.get("solve_epsilon", 1.0)), betas, solver_cfg)
+    reports = [check_theorem1(p, gamma=p.Gamma)[1] for p in points]
+    report = {name: all(r[name] for r in reports) for name in reports[0]}
+    checks["theorem1_bounds"] = {"pass": all(report.values()), **report}
 
-    zero = solve_g(src, _solver_mechanism(cfg, src, 0.0), _solver_config(cfg, beta, seed))
-    zero_ok = max(zero.Gamma, zero.Omega, zero.ixz) <= 1e-12
-    checks["zero_budget_collapse"] = {
-        "pass": zero_ok, "Gamma": zero.Gamma, "Omega": zero.Omega, "ixz": zero.ixz,
-    }
+    zero = trace_frontier(src, _solver_mechanism(cfg, src, 0.0), betas, solver_cfg)
+    largest = {name: max(getattr(p, name) for p in zero) for name in ("Gamma", "Omega", "ixz")}
+    checks["zero_budget_collapse"] = {"pass": max(largest.values()) <= 1e-12, **largest}
 
     if check_floor:
         try:
             checks["budget_equals_floor"] = ib_solver.check_corollary2(
                 src, gamma=cfg.get("gamma", 0.05),
-                budget=cfg.get("oracle_budget", 100_000), cfg=_solver_config(cfg, beta, seed),
+                budget=cfg.get("oracle_budget", 100_000), cfg=solver_cfg,
             )
         except LdpFairError as exc:
             checks["budget_equals_floor"] = {"pass": False, "error": str(exc)}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import urllib.error
 import urllib.request
 import warnings
@@ -125,8 +126,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.means.shape[0] != self.source.card_x:
             raise PreconditionError("one emission mean per x symbol is required")
-        if self.sigma <= 0:
-            raise PreconditionError("emission sigma must be > 0")
+        if not 0 < self.sigma < math.inf:
+            raise PreconditionError(f"emission sigma must be finite and > 0, got {self.sigma}")
         uniq = {tuple(row) for row in np.round(self.means, 12)}
         if len(uniq) != self.means.shape[0]:
             raise PreconditionError("emission means must be distinct per x")

@@ -23,6 +23,7 @@ be checked against closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,8 +71,10 @@ class TrainConfig:
             raise PreconditionError("epochs and batch_size must be >= 1")
         if self.commitment_weight <= 0:
             raise PreconditionError("commitment_weight must be > 0")
-        if self.learning_rate <= 0:
-            raise PreconditionError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise PreconditionError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.beta < math.inf:
+            raise PreconditionError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
 """Exact utility-leakage optimization on small discrete alphabets.
 
-Maximizes I(X;Z|S) + beta * I(U;Z) over softmax-parameterized encoders
-composed with a fixed randomized-response channel.  The objective and its
-gradient have a closed form in the induced joint (log-ratio terms, as in
-the information bottleneck): one kernel weighs I(X;Z), I(S;Z) and I(U;Z)
-over their stacked tables in one pass.  The objective is convex in the
-encoder, so a deterministic encoder is a maximizer: up to 4^4 of them,
-one kernel call scores them all at every beta of a frontier, and the
-best is the exact answer.  Above that, one batched Adam ascent runs every
-restart and every beta at once.  Every reported quantity is recomputed
-exactly.  A brute-force candidate search over raw channels
-is the independent oracle for min I(S;Z) subject to I(U;Z) >= gamma:
+Maximizes I(X;Z|S) + beta * I(U;Z) over encoders composed with a fixed
+randomized-response channel.  The objective is convex in the encoder, so
+a deterministic encoder is a maximizer, and the solver searches those
+alone.  One kernel weighs I(X;Z), I(S;Z) and I(U;Z) over their stacked
+tables in one pass, for a batch of channels p(z|x) = rr[assign], the rr
+rows picked by each encoder's symbols.  Up to 4^4 encoders, one kernel
+call scores them all at every beta of a frontier, and the best is the
+exact answer.  Above that, a steepest-ascent search over deterministic
+encoders runs every restart and every beta at once: each sweep scores
+every encoder one input away from a start's current one, in one kernel
+call up to a bounded batch.  Every reported quantity is recomputed
+exactly.  A brute-force candidate search over raw channels is the
+independent oracle for min I(S;Z) subject to I(U;Z) >= gamma:
 random candidates come in chunks of 12.5k, each drawn from its own
 spawned seed stream as rows of Exp(1)^(1/alpha) draws over their sum, and
 up to two worker threads each draw and score whole chunks.
@@ -37,27 +39,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .discrete_source import Channel, JointSourceUSX, compose, induced_joint, new_channel
-from .errors import DivergenceError, InfeasibleGammaError, PreconditionError
+from .errors import InfeasibleGammaError, PreconditionError
 from .info_measures import conditional_mi, entropy, mutual_information
 from .ldp_mechanisms import RandomizedResponse, rr_channel
 
 CONSTRAINT_TOL = 1e-6
-TIE_RTOL = 1e-12  # restart objectives this close to the best, relative to max(1, |best|), tie
+TIE_RTOL = 1e-12  # objectives this close to the best, relative to max(1, |best|), tie
+# most channel entries one kernel call of the search scores: 8 MiB of
+# channels, so a sweep's memory stays bounded as |X| |Zhat| grows
+_SWEEP_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Weight beta of I(U;Z) and the solver's settings.  restarts,
-    iterations, learning_rate, tol and seed drive only the Adam ascent,
-    which runs where |Zhat|^|X| exceeds 4^4 deterministic encoders."""
+    iterations and seed drive only the search, which runs where
+    |Zhat|^|X| exceeds 4^4 deterministic encoders: restart r starts at
+    the encoder default_rng([seed, r]) draws, and climbs for at most
+    `iterations` sweeps."""
 
     beta: float = 1.0
     restarts: int = 4
     iterations: int = 1500
-    learning_rate: float = 0.05
-    tol: float = 1e-7
     zhat_card: int | None = None  # defaults to |X|
     seed: int = 0
 
@@ -66,8 +70,6 @@ class SolverConfig:
             raise PreconditionError(f"beta must be finite and >= 0, got {self.beta}")
         if self.restarts < 1 or self.iterations < 1:
             raise PreconditionError("restarts and iterations must be positive")
-        if not (0 < self.learning_rate < math.inf and 0 < self.tol < math.inf):
-            raise PreconditionError(f"learning_rate and tol must be finite and > 0, got {self.learning_rate}, {self.tol}")
         if self.seed < 0:
             raise PreconditionError(f"seed must be >= 0, got {self.seed}")
 
@@ -83,7 +85,7 @@ class FrontierPoint:
     Omega: float  # I(S;Z)
     nu: float  # I(X;Z|S)
     ixz: float  # I(X;Z)
-    encoder: Channel | None
+    encoder: Channel
     objective: float
     converged: bool
 
@@ -135,31 +137,24 @@ def _tables(src: JointSourceUSX) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return p_ax, log_pa, p_x, np.repeat(np.eye(3), [src.card_x, src.card_s, src.card_u], axis=0)
 
 
-def _objective_graph(
-    logits: np.ndarray, tables: tuple, channel: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """w_X I(X;Z) + w_S I(S;Z) + w_U I(U;Z) and its gradient w.r.t. the
-    logits, in closed form, for a (B, |X|, |Zhat|) batch of logits with one
-    row of (w_X, w_S, w_U) per logit row in the (B, 3) `weights`.  Z is the
-    softmax encoder followed by `channel`; `tables` comes from `_tables`.
+def _objective_graph(channels: np.ndarray, tables: tuple, weights: np.ndarray) -> np.ndarray:
+    """w_X I(X;Z) + w_S I(S;Z) + w_U I(U;Z) for each channel p(z|x) in a
+    (B, |X|, |Z|) batch, with one row of (w_X, w_S, w_U) per channel in the
+    (B, 3) `weights`; `tables` comes from `_tables`.
 
     With S - X - Z Markov, I(X;Z|S) + beta I(U;Z) takes the weights (1, -1, beta).
-    For a table p(a, x), dI(A;Z)/dp(z|x) = sum_a p(a,x) log[p(a,z) / (p(a) p(z))]
-    up to a per-x constant, which the softmax chain removes.  The three tables
-    share p(z) = sum_x p(x) p(z|x), so one pass over the stacked rows serves all.
+    The three tables share p(z) = sum_x p(x) p(z|x), so one pass over the
+    stacked rows serves all.
     """
     p_ax, log_pa, p_x, which = tables
-    enc = ad.ACTIVATIONS["softmax"][0](logits)
-    pzx = enc @ channel
-    p_az = p_ax @ pzx
+    p_az = p_ax @ channels
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.log(p_az)
-        log_ratio -= np.log(p_x @ pzx)[:, None, :]
+        log_ratio -= np.log(p_x @ channels)[:, None, :]
         log_ratio -= log_pa
     np.copyto(log_ratio, 0.0, where=p_az == 0)
     log_ratio *= (weights @ which.T)[:, :, None]  # each row's table weight
-    g_enc = (p_ax.T @ log_ratio) @ channel.T
-    return (p_az * log_ratio).sum(axis=(1, 2)), enc * (g_enc - (enc * g_enc).sum(axis=2, keepdims=True))
+    return (p_az * log_ratio).sum(axis=(1, 2))
 
 
 def _exact_point(
@@ -175,19 +170,11 @@ def _exact_point(
     )
 
 
-def _restart_logits(cfg: SolverConfig, card_x: int, zhat_card: int) -> np.ndarray:
-    """The (restarts, |X|, |Zhat|) starting logits; restart r is seeded by [cfg.seed, r]."""
-    return np.array([
-        np.random.default_rng([cfg.seed, r]).normal(0.0, 1.0, size=(card_x, zhat_card))
-        for r in range(cfg.restarts)
-    ])
-
-
-def _deterministic_channels(card_x: int, card_z: int) -> np.ndarray:
-    """All card_z^card_x deterministic channels as one (B, card_x, card_z)
-    array: channel i sends x to digit x of i in base card_z, so channel 0
+def _all_encoders(card_x: int, card_z: int) -> np.ndarray:
+    """All card_z^card_x deterministic encoders as one (B, card_x) array of
+    symbols: encoder i sends x to digit x of i in base card_z, so encoder 0
     sends every x to z = 0."""
-    return np.eye(card_z)[np.arange(card_z**card_x)[:, None] // card_z ** np.arange(card_x) % card_z]
+    return np.arange(card_z**card_x)[:, None] // card_z ** np.arange(card_x) % card_z
 
 
 def _first_best(values: np.ndarray) -> int:
@@ -200,16 +187,24 @@ def _first_best(values: np.ndarray) -> int:
 
 def _solve(
     src: JointSourceUSX, mech: RandomizedResponse, betas: list[float], cfg: SolverConfig
-) -> list[FrontierPoint | None]:
-    """The best encoder at each beta, recomputed from its exact joint.
+) -> list[FrontierPoint]:
+    """The best deterministic encoder found at each beta, recomputed from
+    its exact joint.
 
     Each term is a mutual information, convex in p(z|x) = encoder @ rr, so
     the objective is convex in the encoder and a deterministic encoder
     reaches its maximum (Witsenhausen and Wyner, IEEE T-IT 1975).  Up to
-    4^4 of them are scored at every beta in one kernel call, with logits 0
-    at the chosen symbol and -inf elsewhere, so the softmax is exactly
-    one-hot; at eps = 0 `_first_best` picks channel 0, the constant
-    encoder.  Larger alphabets take `_ascend`.
+    4^4 of them, every encoder is a start and no sweep runs, so
+    the best start is the maximum.  Above that, start r is the encoder
+    default_rng([cfg.seed, r]) draws, and each (beta, start) row climbs:
+    a sweep scores every encoder that differs from the row's current one
+    in one input, all rows in one kernel call (or a few, each holding at
+    most _SWEEP_ENTRIES channel entries), and the row moves to the
+    best of them if it beats the current value by more than TIE_RTOL,
+    relative to max(1, |value|).  A row stops when no candidate does, and
+    is then converged, or after cfg.iterations sweeps.  At each beta
+    `_first_best` picks the winning start, so at eps = 0, where every
+    value is 0 up to rounding, it is start 0.
     """
     zhat_card = cfg.zhat_card if cfg.zhat_card is not None else src.card_x
     if zhat_card != mech.k**mech.d:
@@ -217,89 +212,58 @@ def _solve(
             f"intermediate alphabet {zhat_card} does not match mechanism "
             f"alphabet k^d = {mech.k**mech.d}"
         )
-    if zhat_card**src.card_x > 4**4:
-        return _ascend(src, mech, betas, cfg)
-    rr_rows = rr_channel(mech).rows
-    det = _deterministic_channels(src.card_x, zhat_card)
-    with np.errstate(divide="ignore"):
-        logits = np.tile(np.log(det), (len(betas), 1, 1))
-    row_beta = np.repeat(betas, len(det))
+    card_x = src.card_x
+    if zhat_card**card_x <= 4**4:
+        starts, sweeps = _all_encoders(card_x, zhat_card), 0
+    else:
+        starts = np.array([
+            np.random.default_rng([cfg.seed, r]).integers(0, zhat_card, size=card_x) for r in range(cfg.restarts)
+        ])
+        sweeps = cfg.iterations
+    rr_rows, tables = rr_channel(mech).rows, _tables(src)
+    row_beta = np.repeat(betas, len(starts))
     weights = np.column_stack([np.ones_like(row_beta), -np.ones_like(row_beta), row_beta])
-    values, _ = _objective_graph(logits, _tables(src), rr_rows, weights)
-    return [
-        _exact_point(src, new_channel(det[_first_best(v)]), rr_rows, beta, mech.epsilon, True)
-        for beta, v in zip(betas, values.reshape(len(betas), len(det)))
-    ]
-
-
-def _ascend(
-    src: JointSourceUSX, mech: RandomizedResponse, betas: list[float], cfg: SolverConfig
-) -> list[FrontierPoint | None]:
-    """Adam ascent of every (beta, restart) pair as one batch of logits.
-
-    Row b * restarts + r runs restart r, seeded by [cfg.seed, r], at
-    betas[b].  A row stops once its objective moves by less than cfg.tol
-    or becomes non-finite; the rows still running share Adam's step count,
-    so each follows the trajectory it would follow alone.  Per beta, the
-    restart with the best objective before its last step wins, the lowest
-    of those within TIE_RTOL of it (`_first_best`), and the point is
-    recomputed from its exact joint; None marks a beta with a non-finite
-    restart.
-    """
-    zhat_card = mech.k**mech.d
-    rr_rows = rr_channel(mech).rows
-    tables = _tables(src)
-    logits = np.tile(_restart_logits(cfg, src.card_x, zhat_card), (len(betas), 1, 1))
-    row_beta = np.repeat(betas, cfg.restarts)
-    weights = np.column_stack([np.ones_like(row_beta), -np.ones_like(row_beta), row_beta])
-    last = np.full(len(logits), -np.inf)
-    converged = np.zeros(len(logits), dtype=bool)
-    finite = np.ones(len(logits), dtype=bool)
-
-    active = np.arange(len(logits))
-    x = logits.copy()  # the running rows' logits
-    opt = ad.AdamState(lr=cfg.learning_rate, m=np.zeros_like(x), v=np.zeros_like(x))
-    for _ in range(cfg.iterations):
-        val, grad = _objective_graph(x, tables, rr_rows, weights)
-        bad = ~np.isfinite(val)
-        done = bad | (np.abs(val - last[active]) < cfg.tol)
-        if done.any():
-            finite[active[bad]] = False
-            converged[active[done & ~bad]] = True
-            logits[active[done]] = x[done]
-            keep = ~done
-            active, val, grad, weights = active[keep], val[keep], grad[keep], weights[keep]
-            x, opt.m, opt.v = x[keep], opt.m[keep], opt.v[keep]
-            if not active.size:
-                break
-        last[active] = val
-        ad.adam_update(x, -grad, opt)  # ascent
-    logits[active] = x
-
+    assign = np.tile(starts, (len(betas), 1))  # row b * len(starts) + r: start r at betas[b]
+    values = _objective_graph(rr_rows[assign], tables, weights)
+    converged = np.full(len(assign), sweeps == 0)  # every encoder scored: the best is the maximum
+    moves = np.arange(card_x * zhat_card)  # move m sends input m // |Zhat| to symbol m % |Zhat|
+    rows_per_call = max(1, _SWEEP_ENTRIES // (len(moves) * card_x * zhat_card))
+    for _ in range(sweeps):
+        active = np.flatnonzero(~converged)
+        if not active.size:
+            break
+        for rows in np.array_split(active, -(-len(active) // rows_per_call)):  # rows climb alone
+            cand = np.repeat(assign[rows, None, :], len(moves), axis=1)
+            cand[:, moves, moves // zhat_card] = moves % zhat_card
+            scores = _objective_graph(
+                rr_rows[cand.reshape(-1, card_x)], tables, np.repeat(weights[rows], len(moves), axis=0)
+            ).reshape(len(rows), len(moves))
+            best = scores.argmax(axis=1)
+            top = scores[np.arange(len(rows)), best]
+            now = values[rows]
+            up = top > now + TIE_RTOL * np.maximum(1.0, np.abs(now))
+            converged[rows[~up]] = True
+            assign[rows[up]] = cand[up, best[up]]
+            values[rows[up]] = top[up]
+    eye = np.eye(zhat_card)
     points = []
     for b, beta in enumerate(betas):
-        rows = slice(b * cfg.restarts, (b + 1) * cfg.restarts)
-        if not finite[rows].all():
-            points.append(None)
-            continue
-        best = b * cfg.restarts + _first_best(last[rows])
-        enc = new_channel(ad.ACTIVATIONS["softmax"][0](logits[best]))
-        points.append(_exact_point(src, enc, rr_rows, beta, mech.epsilon, bool(converged[best])))
+        r = b * len(starts) + _first_best(values[b * len(starts):(b + 1) * len(starts)])
+        points.append(_exact_point(src, new_channel(eye[assign[r]]), rr_rows, beta, mech.epsilon, bool(converged[r])))
     return points
 
 
 def solve_g(src: JointSourceUSX, mech: RandomizedResponse, cfg: SolverConfig) -> FrontierPoint:
-    """The encoder maximizing I(X;Z|S) + beta I(U;Z), with its reported
-    quantities recomputed from the exact joint.
+    """The deterministic encoder maximizing I(X;Z|S) + beta I(U;Z), with
+    its reported quantities recomputed from the exact joint.
 
     Up to 4^4 deterministic encoders, the best of them is the exact
-    maximum and the point has converged = True.  Above that, a multi-restart
-    Adam ascent over encoder logits, driven by cfg's restarts, iterations,
-    learning_rate, tol and seed, gives the best restart.
+    maximum and the point has converged = True.  Above that, the best
+    restart of the search (`_solve`), driven by cfg's restarts, iterations
+    and seed; converged = True there means the winning restart reached an
+    encoder that no one-input change improves.
     """
     (pt,) = _solve(src, mech, [cfg.beta], cfg)
-    if pt is None:
-        raise DivergenceError("solver objective became non-finite; lower the learning rate")
     return pt
 
 
@@ -308,10 +272,8 @@ def trace_frontier(
 ) -> list[FrontierPoint]:
     """One solved point per beta, in ascending beta order, all solved in
     one batch, exactly up to 4^4 deterministic encoders (as `solve_g`).
-    cfg's beta is not used; its restarts, iterations, learning_rate, tol
-    and seed drive only the ascent above that.  A beta whose ascent
-    diverged is recorded as an unconverged NaN point rather than aborting
-    the sweep."""
+    cfg's beta is not used; its restarts, iterations and seed drive the
+    search above that, and each point equals a solo `solve_g` at its beta."""
     betas = [float(b) for b in beta_grid]
     if not betas:
         raise PreconditionError("beta grid is empty")
@@ -319,14 +281,7 @@ def trace_frontier(
     if bad:
         raise PreconditionError(f"beta must be finite and >= 0, got {bad[0]}")
     betas.sort()
-    nan = math.nan
-    return [
-        pt if pt is not None else FrontierPoint(
-            beta=beta, epsilon=mech.epsilon, gamma_target=nan, Gamma=nan, Omega=nan, nu=nan,
-            ixz=nan, encoder=None, objective=nan, converged=False,
-        )
-        for beta, pt in zip(betas, _solve(src, mech, betas, cfg))
-    ]
+    return _solve(src, mech, betas, cfg)
 
 
 def check_theorem1(pt: FrontierPoint, gamma: float, tol: float = 1e-6) -> tuple[bool, dict]:
@@ -444,7 +399,7 @@ def solve_G_bruteforce(
         i = int(np.argmin(leak))
         return float(leak[i]), feasible[i].copy()  # not a view pinning the chunk
 
-    det = _deterministic_channels(src.card_x, card_z)  # at most 4^4
+    det = np.eye(card_z)[_all_encoders(src.card_x, card_z)]  # at most 4^4
 
     per_conc = max(budget - len(det), 0) // len(_CONCENTRATIONS)
     per_alpha = -(-per_conc // _CHUNK)  # chunks per concentration, the last one partial
@@ -513,7 +468,7 @@ def check_corollary2(
     mech = RandomizedResponse(epsilon=gamma * 1.001, k=zhat_card, d=1)
     capacity = math.log(zhat_card) - entropy(rr_channel(mech).rows[0])
     points = trace_frontier(src, mech, betas, cfg)
-    max_ixz = np.max([p.ixz for p in points])  # a NaN point fails the checks below
+    max_ixz = np.max([p.ixz for p in points])
     max_gamma = np.max([p.Gamma for p in points])
     report = {
         "capacity_nats": capacity,

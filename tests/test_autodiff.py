@@ -384,27 +384,6 @@ class TestAdam:
             if step >= 20:
                 assert np.array_equal(old.data, old_values)  # the replaced one stays put
 
-    def test_array_update_with_row_drop_equals_adam_step(self):
-        # the exact solver steps its logits with adam_update and drops the
-        # finished rows of the logits and moments together; that equals
-        # stepping a re-made parameter over re-sliced flat moments, bit for bit
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(6, 4, 4))
-        param = ad.parameter(x.copy())
-        st_x = ad.AdamState(lr=0.05, m=np.zeros_like(x), v=np.zeros_like(x))
-        st_p = ad.AdamState(lr=0.05)
-        for step in range(1, 61):
-            if step in (15, 40, 41):
-                keep = np.arange(len(x)) != step % len(x)
-                x, st_x.m, st_x.v = x[keep], st_x.m[keep], st_x.v[keep]
-                st_p.m, st_p.v = (a.reshape(param.data.shape)[keep].ravel() for a in (st_p.m, st_p.v))
-                param = ad.parameter(param.data[keep])
-            g = np.sin(3.0 * x + step) - 0.2 * x
-            ad.adam_update(x, -g, st_x)
-            ad.adam_step([param], st_p, grads=-g.ravel())
-            assert np.array_equal(x, param.data)
-        assert st_x.step == st_p.step == 60
-
     def test_flat_gradient_equals_per_parameter_list(self):
         rng = np.random.default_rng(3)
         shapes = [(3, 2), (2,), (4,)]

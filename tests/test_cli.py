@@ -259,14 +259,67 @@ class TestCommands:
         + [("frontier", "beta=1,nan"), ("frontier", "beta=0.5,inf")],  # the frontier solves every beta
     )
     def test_non_finite_beta_or_solver_lr_exits_2(self, tmp_path, capsys, command, line):
+        # solver_lr set the step of an ascent the solver no longer runs
         key = line.split("=")[0]
         text = "card_x=3\nepsilon=1\nrestarts=1\niterations=50\n" + ("" if key == "beta" else "beta=1\n")
         cfg = write_cfg(tmp_path, f"{text}{line}\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        name = "beta" if key == "beta" else "learning_rate"
+        name = "beta" if key == "beta" else "unknown config key 'solver_lr'"
         assert "config error" in err and name in err and "Traceback" not in err
-        assert list((tmp_path / "out").iterdir()) == []  # no frontier, solution or report
+        if key == "beta":
+            assert list((tmp_path / "out").iterdir()) == []  # no frontier, solution or report
+        else:
+            assert not (tmp_path / "out").exists()  # rejected before any work
+
+    @pytest.mark.parametrize("grid", ["1,nan", "0.5,inf"])
+    def test_verify_rejects_a_non_finite_beta_in_a_grid(self, tmp_path, capsys, grid):
+        cfg = write_cfg(tmp_path, f"card_x=3\nrestarts=1\niterations=50\nbeta={grid}\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "beta" in err and "Traceback" not in err
+        assert list((tmp_path / "out").iterdir()) == []  # no report
+
+    def test_verify_checks_every_beta(self, tmp_path, monkeypatch):
+        # one beta's point that breaks the bound chain fails the check, wherever it is in the grid
+        betas, broken = [], 2.0
+        solve = cli.trace_frontier
+
+        def spying(src, mech, grid, cfg):
+            betas.append(list(grid))
+            points = solve(src, mech, grid, cfg)
+            if mech.epsilon > 0:
+                points = [dataclasses.replace(p, ixz=p.epsilon + 1.0) if p.beta == broken else p for p in points]
+            return points
+
+        monkeypatch.setattr(cli, "trace_frontier", spying)
+        cfg = write_cfg(tmp_path, "card_x=3\nrestarts=1\niterations=50\nbeta=1,2,3\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        checks = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+        assert checks["theorem1_bounds"]["pass"] is False
+        assert checks["theorem1_bounds"]["Omega_le_ixz_le_eps"] is False
+        assert checks["theorem1_bounds"]["gamma_le_Gamma_le_eps"] is True
+        assert checks["zero_budget_collapse"]["pass"] is True
+        assert betas == [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]  # the bound chain, then the collapse
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [("lr=nan", "learning_rate"), ("lr=inf", "learning_rate"), ("beta=nan", "beta"),
+         ("sigma=nan", "sigma"), ("sigma=inf", "sigma"), ("card_x=0", "card_x")],
+    )
+    def test_non_finite_training_setting_exits_2(self, tmp_path, capsys, line, key):
+        # 400 rows and one epoch: without the checks, lr=nan trains a model of
+        # NaN weights and exits 0, and the others fail later with exit 4
+        name = line.split("=")[0]
+        kept = [ln for ln in SYNTH_CFG.splitlines() if ln and not ln.startswith((f"{name}=", "epochs=", "n_"))]
+        cfg = write_cfg(tmp_path, "\n".join([*kept, "n_train=400", "n_test=400", "epochs=1", line]) + "\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "Traceback" not in err
+        if name == "card_x":
+            assert not (tmp_path / "out").exists()  # rejected before any work
+        else:
+            assert list((tmp_path / "out").iterdir()) == []  # no model, no history
 
     @pytest.mark.parametrize(
         "command, text, seed",
@@ -321,7 +374,7 @@ class TestCommands:
 
     def test_verify_on_exact_frontier_config(self, tmp_path):
         # an epsilon grid for the lemma checks, a beta grid (verify solves at
-        # the first beta) and solve_epsilon, as the exact-frontier benchmark runs it
+        # every beta) and solve_epsilon, as the exact-frontier benchmark runs it
         src = tmp_path / "source.txt"
         save_source(random_source(2, 2, 3, seed=5), src)
         cfg = write_cfg(

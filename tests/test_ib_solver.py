@@ -17,7 +17,6 @@ from ldpfair import (
     induced_joint,
     mutual_information,
     new_channel,
-    random_channel,
     random_source,
     rr_channel,
     solve_G_bruteforce,
@@ -39,19 +38,23 @@ def _replace(cfg, **kw):
     return replace(cfg, **kw)
 
 
-def per_table_objective(logits, src, channel, weights):
-    """The kernel's value and gradient written one table at a time, each
-    table with its own p(z), from `_log_ratio`."""
-    enc = softmax(logits)
-    pzx = enc @ channel
-    value, g_pzx = 0.0, 0.0
+def start(cfg, r, card_x, k):
+    """The symbols of the search's start r above the cap, as documented."""
+    return np.random.default_rng([cfg.seed, r]).integers(0, k, size=card_x)
+
+
+# (|X|, eps, sweeps) above the cap where some betas converge and others run out of sweeps
+SOLO_CASES = [(5, 1.0, 2), (5, 3.0, 2)]
+
+
+def per_table_objective(channels, src, weights):
+    """The kernel's value written one table at a time, each table with its
+    own p(z), from `_log_ratio`."""
+    value = 0.0
     for t, p_ax in enumerate((np.diag(src.p_x()), src.p_sx(), src.p_ux())):
-        p_az, log_ratio = _log_ratio(p_ax, pzx)
-        w = weights[:, t, None, None]
-        value = value + w * (p_az * log_ratio).sum(axis=(0, 1))[:, None, None]
-        g_pzx = g_pzx + w * np.einsum("ax,azb->bxz", p_ax, log_ratio)
-    g_enc = g_pzx @ channel.T
-    return value[:, 0, 0], enc * (g_enc - (enc * g_enc).sum(axis=2, keepdims=True))
+        p_az, log_ratio = _log_ratio(p_ax, channels)
+        value = value + weights[:, t] * (p_az * log_ratio).sum(axis=(0, 1))
+    return value
 
 
 # one row per objective: the solver's (1, -1, beta), each term alone, and mixed signs
@@ -65,11 +68,9 @@ class TestObjectiveKernel:
         channel = rr_channel(RandomizedResponse(epsilon=eps, k=card_x, d=1)).rows
         for seed in range(3):
             src = random_source(2, 2, card_x, seed=seed)
-            logits = np.random.default_rng(seed).normal(size=(len(WEIGHTS), card_x, card_x))
-            value, grad = _objective_graph(logits, ib_solver._tables(src), channel, WEIGHTS)
-            ref_value, ref_grad = per_table_objective(logits, src, channel, WEIGHTS)
-            np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13)
+            channels = softmax(np.random.default_rng(seed).normal(size=(len(WEIGHTS), card_x, card_x))) @ channel
+            value = _objective_graph(channels, ib_solver._tables(src), WEIGHTS)
+            np.testing.assert_allclose(value, per_table_objective(channels, src, WEIGHTS), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("empty", ["x", "s"])
     def test_empty_symbol_gives_finite_values_and_zero_terms(self, empty):
@@ -80,50 +81,18 @@ class TestObjectiveKernel:
             probs[:, 1, :] = 0.0  # p(s = 1) = 0: an empty row of p(s, x)
         src = JointSourceUSX(probs / probs.sum())
         channel = rr_channel(RandomizedResponse(epsilon=1.0, k=3, d=1)).rows
-        logits = np.random.default_rng(2).normal(size=(len(WEIGHTS), 3, 3))
-        value, grad = _objective_graph(logits, ib_solver._tables(src), channel, WEIGHTS)
-        assert np.isfinite(value).all() and np.isfinite(grad).all()
-        ref_value, ref_grad = per_table_objective(logits, src, channel, WEIGHTS)
-        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-13)
+        encoders = softmax(np.random.default_rng(2).normal(size=(len(WEIGHTS), 3, 3)))
+        value = _objective_graph(encoders @ channel, ib_solver._tables(src), WEIGHTS)
+        assert np.isfinite(value).all()
+        np.testing.assert_allclose(value, per_table_objective(encoders @ channel, src, WEIGHTS), rtol=0, atol=1e-13)
         # each term alone is the exact mutual information of the induced joint
         for b, pair in ((2, "p_xz"), (3, "p_sz"), (4, "p_uz")):  # the rows (1, 0, 0), (0, 1, 0), (0, 0, 1)
-            enc = new_channel(softmax(logits[b]))
-            joint = induced_joint(src, compose(enc, new_channel(channel)))
+            joint = induced_joint(src, compose(new_channel(encoders[b]), new_channel(channel)))
             assert abs(value[b] - mutual_information(getattr(joint, pair)())) <= 1e-13
-        if empty == "x":
-            assert not grad[:, 1, :].any()  # no mass, no gradient
         pt = solve_g(src, RandomizedResponse(epsilon=1.0, k=3, d=1), _replace(FAST, iterations=200))
         assert all(np.isfinite([pt.Gamma, pt.Omega, pt.nu, pt.ixz, pt.objective]))
         if empty == "s":
             assert pt.Omega == 0.0
-
-
-class TestGradient:
-    @pytest.mark.parametrize("card_x", [3, 4])
-    @pytest.mark.parametrize("eps", [0.5, 3.0, None])  # None: a random channel, not symmetric like rr
-    def test_matches_finite_differences(self, card_x, eps):
-        # one batch whose rows carry different weights, against single-row values
-        src = random_source(2, 2, card_x, seed=0)
-        tables = ib_solver._tables(src)
-        rng = np.random.default_rng(1)
-        weights = np.array([[1, -1, 0.1], [1, -1, 2.0], [1, -1, 50.0], [0, 1, 0], [-0.5, 2, 3]])
-        logits = rng.normal(size=(len(weights), card_x, card_x))
-        if eps is None:
-            channel = random_channel(card_x, card_x, seed=2).rows
-        else:
-            channel = rr_channel(RandomizedResponse(epsilon=eps, k=card_x, d=1)).rows
-        _, grads = _objective_graph(logits, tables, channel, weights)
-        num = np.zeros_like(logits)
-        for b in range(len(weights)):
-            for i in range(card_x):
-                for j in range(card_x):
-                    for sign in (1, -1):
-                        pert = logits[b].copy()
-                        pert[i, j] += sign * 1e-6
-                        v, _ = _objective_graph(pert[None], tables, channel, weights[b : b + 1])
-                        num[b, i, j] += sign * v[0] / 2e-6
-        np.testing.assert_allclose(grads, num, rtol=1e-4, atol=1e-10)
 
 
 class TestSolveG:
@@ -158,19 +127,20 @@ class TestSolveG:
         with pytest.raises(PreconditionError, match="seed"):
             SolverConfig(seed=-1)
 
-    @pytest.mark.parametrize("card_x", [3, 4])
-    def test_zero_budget_tie_goes_to_the_first_restart(self, monkeypatch, card_x):
-        # at eps = 0 every objective is 0 up to rounding; the first restart
-        # wins by its position, not by which logits it holds
-        src = random_source(2, 2, card_x, seed=card_x)
-        mech = RandomizedResponse(epsilon=0.0, k=card_x, d=1)
-        cfg = _replace(FAST, restarts=4, iterations=50)
+    @pytest.mark.parametrize("restarts", [3, 4])
+    def test_zero_budget_tie_goes_to_the_first_restart(self, restarts):
+        # at eps = 0 every objective is 0 up to rounding; above the cap the
+        # first restart wins by its position, not by which encoder it holds,
+        # and every term collapses
         betas = [0.01, 0.1, 1.0, 10.0, 100.0]
-        starts = ib_solver._restart_logits(cfg, card_x, card_x)
-        for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]):
-            monkeypatch.setattr(ib_solver, "_restart_logits", lambda *args: starts[order])
-            for p in ib_solver._ascend(src, mech, betas, cfg):
-                np.testing.assert_allclose(p.encoder.rows, softmax(starts[order[0]]), atol=1e-6)
+        for card_x in (5, 6):
+            src = random_source(2, 2, card_x, seed=restarts)
+            mech = RandomizedResponse(epsilon=0.0, k=card_x, d=1)
+            for seed in (0, 1, 2):  # other seeds, other starts
+                cfg = _replace(FAST, restarts=restarts, iterations=50, seed=seed)
+                for p in trace_frontier(src, mech, betas, cfg):
+                    np.testing.assert_array_equal(p.encoder.rows, np.eye(card_x)[start(cfg, 0, card_x, card_x)])
+                    assert max(p.Gamma, p.Omega, p.ixz) <= 1e-12
 
     def test_deterministic_given_seed(self):
         src = random_source(2, 2, 3, seed=4)
@@ -196,18 +166,21 @@ class TestFrontier:
         pts = trace_frontier(src, mech, [10.0, 0.1, 1.0], FAST)
         assert [p.beta for p in pts] == [0.1, 1.0, 10.0]
 
-    @pytest.mark.parametrize("card_x, eps, iterations, tol", [(3, 1.0, 400, 1e-6), (4, 0.5, 800, 1e-7)])
-    def test_each_point_equals_a_solo_solve(self, card_x, eps, iterations, tol):
-        # some rows stop early while others run on; a stopped row that kept
-        # stepping, or rows that leaked into each other, would move a point
+    @pytest.mark.parametrize("card_x, eps, iterations", SOLO_CASES)
+    def test_each_point_equals_a_solo_solve(self, card_x, eps, iterations):
+        # above the cap some rows stop early while others climb on; a stopped
+        # row that kept moving, or rows that leaked into each other, would
+        # move a point
         src = random_source(2, 2, card_x, seed=3)
         mech = RandomizedResponse(epsilon=eps, k=card_x, d=1)
-        cfg = _replace(FAST, iterations=iterations, tol=tol)
+        cfg = _replace(FAST, iterations=iterations)
         betas = [0.01, 0.1, 1.0, 10.0, 100.0]
-        pts = ib_solver._ascend(src, mech, betas, cfg)
+        pts = trace_frontier(src, mech, betas, cfg)
         assert any(p.converged for p in pts) and not all(p.converged for p in pts)
+        for p, again in zip(pts, trace_frontier(src, mech, betas, cfg)):  # the same seed, the same encoders
+            np.testing.assert_array_equal(p.encoder.rows, again.encoder.rows)
         for beta, p in zip(betas, pts):
-            (solo,) = ib_solver._ascend(src, mech, [beta], _replace(cfg, beta=beta))
+            solo = solve_g(src, mech, _replace(cfg, beta=beta))
             for f in fields(p):
                 a, b = getattr(p, f.name), getattr(solo, f.name)
                 if f.name == "encoder":
@@ -250,11 +223,9 @@ class TestExactPath:
             src = random_source(2, 2, card_x, seed=seed)
             pts = trace_frontier(src, mech, self.BETAS, FAST)
             best = deterministic_objectives(src, mech, self.BETAS).max(axis=1)
-            ascent = ib_solver._ascend(src, mech, self.BETAS, FAST)
-            for p, b, a in zip(pts, best, ascent):
+            for p, b in zip(pts, best):
                 assert p.converged
                 assert abs(p.objective - b) <= 1e-12
-                assert p.objective >= a.objective - 1e-12
 
     @pytest.mark.parametrize("card_x", [2, 3, 4])
     @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
@@ -265,11 +236,9 @@ class TestExactPath:
         for seed in range(10):
             src = random_source(2, 2, card_x, seed=seed)
             encoders = np.random.default_rng(seed).dirichlet(np.ones(card_x), size=(10_000, card_x))
-            with np.errstate(divide="ignore"):
-                logits = np.log(encoders)
             for p in trace_frontier(src, mech, self.BETAS, FAST):
-                weights = np.tile([1.0, -1.0, p.beta], (len(logits), 1))
-                values, _ = _objective_graph(logits, ib_solver._tables(src), channel, weights)
+                weights = np.tile([1.0, -1.0, p.beta], (len(encoders), 1))
+                values = _objective_graph(encoders @ channel, ib_solver._tables(src), weights)
                 assert values.max() <= p.objective + 1e-12
 
     @pytest.mark.parametrize("card_x", [2, 3, 4])
@@ -282,21 +251,7 @@ class TestExactPath:
                 np.testing.assert_array_equal(p.encoder.rows, constant)
                 assert max(p.Gamma, p.Omega, p.ixz) <= 1e-12
 
-    def test_above_the_cap_the_ascent_answers(self):
-        # 5^5 deterministic encoders: the frontier is the ascent's, unchanged
-        src = random_source(2, 2, 5, seed=1)
-        mech = RandomizedResponse(epsilon=1.0, k=5, d=1)
-        cfg = _replace(FAST, iterations=200)
-        for p, a in zip(trace_frontier(src, mech, self.BETAS, cfg), ib_solver._ascend(src, mech, self.BETAS, cfg)):
-            for f in fields(p):
-                if f.name == "encoder":
-                    np.testing.assert_array_equal(p.encoder.rows, a.encoder.rows)
-                else:
-                    np.testing.assert_equal(getattr(p, f.name), getattr(a, f.name), err_msg=f.name)
-
-    @pytest.mark.parametrize("field, value", [("beta", math.nan), ("beta", math.inf), ("beta", -1.0),
-                                              ("learning_rate", math.nan), ("learning_rate", math.inf),
-                                              ("tol", math.nan), ("tol", math.inf), ("tol", 0.0)])
+    @pytest.mark.parametrize("field, value", [("beta", math.nan), ("beta", math.inf), ("beta", -1.0)])
     def test_config_rejects_a_value_that_is_not_finite(self, field, value):
         with pytest.raises(PreconditionError, match=field):
             SolverConfig(**{field: value})
@@ -306,6 +261,57 @@ class TestExactPath:
         src = random_source(2, 2, 3, seed=0)
         with pytest.raises(PreconditionError, match="beta"):
             trace_frontier(src, RandomizedResponse(epsilon=1.0, k=3, d=1), [1.0, beta], FAST)
+
+
+def best_deterministic_objectives(src, rr_rows, betas):
+    """(len(betas),) best I(X;Z) - I(S;Z) + beta I(U;Z) over every
+    deterministic encoder, each scored by the oracle's kernel in chunks."""
+    k = len(rr_rows)
+    symbols = np.indices((k,) * src.card_x).reshape(src.card_x, -1).T
+    best = np.full(len(betas), -np.inf)
+    for lo in range(0, len(symbols), 50_000):
+        channels = rr_rows[symbols[lo:lo + 50_000]]
+        nu = _batched_mi_terms(np.diag(src.p_x()), channels) - _batched_mi_terms(src.p_sx(), channels)
+        values = nu + np.multiply.outer(betas, _batched_mi_terms(src.p_ux(), channels))
+        best = np.maximum(best, values.max(axis=1))
+    return best
+
+
+class TestSearch:
+    """Above 4^4 deterministic encoders: the steepest-ascent search."""
+
+    BETAS = [0.01, 0.1, 1.0, 10.0, 100.0]
+
+    @pytest.mark.parametrize("card_x, sources", [(5, 5), (6, 3), (7, 1)])
+    def test_above_the_cap_the_search_is_exhaustive(self, card_x, sources):
+        for seed in range(sources):
+            src = random_source(2, 2, card_x, seed=seed)
+            for eps in (0.5, 1.0, 3.0, 8.0):
+                mech = RandomizedResponse(epsilon=eps, k=card_x, d=1)
+                best = best_deterministic_objectives(src, rr_channel(mech).rows, np.array(self.BETAS))
+                for p, b in zip(trace_frontier(src, mech, self.BETAS, SolverConfig()), best):
+                    assert p.converged
+                    assert abs(p.objective - b) <= 1e-12, (seed, eps, p.beta)
+
+    def test_one_sweep_does_not_converge(self):
+        # SOLO_CASES' source needs two sweeps or more at every beta
+        src = random_source(2, 2, 5, seed=3)
+        mech = RandomizedResponse(epsilon=1.0, k=5, d=1)
+        assert not any(p.converged for p in trace_frontier(src, mech, self.BETAS, _replace(FAST, iterations=1)))
+        assert all(p.converged for p in trace_frontier(src, mech, self.BETAS, FAST))
+
+    def test_a_product_mechanism_returns_a_deterministic_encoder(self):
+        # k = 2, d = 2: |Zhat| = 4 and 4^5 encoders, above the cap
+        src = random_source(2, 2, 5, seed=1)
+        mech = RandomizedResponse(epsilon=2.0, k=2, d=2)
+        rr = rr_channel(mech)
+        for p in trace_frontier(src, mech, self.BETAS, _replace(FAST, zhat_card=4)):
+            rows = p.encoder.rows
+            assert rows.shape == (5, 4) and set(np.unique(rows)) <= {0.0, 1.0}
+            np.testing.assert_array_equal(rows.sum(axis=1), 1.0)
+            joint = induced_joint(src, compose(p.encoder, rr))
+            nu = mutual_information(joint.p_xz()) - mutual_information(joint.p_sz())
+            assert abs(p.objective - (nu + p.beta * mutual_information(joint.p_uz()))) <= 1e-12
 
 
 class TestBruteForceOracle:

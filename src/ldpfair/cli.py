@@ -316,6 +316,11 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     checks: dict[str, dict] = {}
     rng_seeds = [seed + i for i in range(cfg.get("verify_sources", 3))]
     check_floor = cfg.get("check_budget_equals_floor", False)
+    src = _load_config_source(cfg)
+    if check_floor and src.card_x > ib_solver.ORACLE_MAX_CARD_X:  # fail before any check runs
+        raise ConfigError(
+            f"check_budget_equals_floor: oracle regime is |X| <= {ib_solver.ORACLE_MAX_CARD_X}, got {src.card_x}"
+        )
 
     # closure + budget bound over random encoders and RR channels
     worst_ratio, worst_mi = 0.0, 0.0
@@ -326,20 +331,19 @@ def cmd_verify(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     for eps in cfg.get("epsilon", [0.5, 1.0, 2.0]):
         mech_ch = rr_channel(RandomizedResponse(epsilon=eps, k=3, d=1))
         for s in rng_seeds:
-            src = random_source(2, 2, 3, seed=s)
+            lemma_src = random_source(2, 2, 3, seed=s)
             enc = random_channel(3, 3, seed=s + 1)
             if not check_lemma1(enc, mech_ch, eps):
                 lemma_ok = False
             ratio, _ = verify_ldp(compose(enc, mech_ch), eps)
             worst_ratio = max(worst_ratio, ratio - eps)
-            mi = mutual_information(induced_joint(src, compose(enc, mech_ch)).p_xz())
+            mi = mutual_information(induced_joint(lemma_src, compose(enc, mech_ch)).p_xz())
             worst_mi = max(worst_mi, mi - eps)
     checks["lemma1_closure"] = {"pass": lemma_ok, "worst_ratio_excess": worst_ratio}
     checks["lemma2_budget_bound"] = {"pass": worst_mi <= 1e-9, "worst_mi_excess": worst_mi}
 
     # bound chain at the solved point of every beta, each inequality held
     # at all of them, plus the zero-budget case at its largest terms
-    src = _load_config_source(cfg)
     betas = cfg.get("beta", [10.0])
     solver_cfg = _solver_config(cfg, betas[0], seed)
     points = trace_frontier(src, _solver_mechanism(cfg, src, cfg.get("solve_epsilon", 1.0)), betas, solver_cfg)

@@ -22,7 +22,7 @@ class InfeasibleGammaError(LdpFairError):
 
 
 class DivergenceError(LdpFairError):
-    """Non-finite values encountered during optimization."""
+    """An optimization did not finish: non-finite values, or an iteration cap reached."""
 
 
 class DatasetError(LdpFairError):

@@ -231,6 +231,20 @@ class TestCommands:
         assert f"config key 'gamma' must be finite and > 0, got {gamma}" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()  # rejected before any work
 
+    def test_floor_check_outside_the_oracle_regime_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the oracle takes |X| <= 4: with |X| = 5 the floor check cannot run, which is
+        # a config error found before any check runs, not a failed check after the rest
+        def no_check_runs(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(cli, "check_lemma1", no_check_runs)
+        monkeypatch.setattr(cli, "trace_frontier", no_check_runs)
+        cfg = write_cfg(tmp_path, "card_x=5\nrestarts=2\niterations=50\ncheck_budget_equals_floor=1\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "oracle regime is |X| <= 4, got 5" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "verify.json").exists()
+
     @pytest.mark.parametrize(
         "command, mechanism, epsilon",
         [

@@ -1,5 +1,7 @@
 import itertools
 import math
+import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -336,6 +338,12 @@ class TestBruteForceOracle:
         full_leak = mutual_information(src.p_sx())
         assert leak <= full_leak + 1e-9
 
+    def test_large_alphabet_rejected(self):
+        # the 1/N grid and its refinements are sized for at most four inputs
+        src = random_source(2, 2, ib_solver.ORACLE_MAX_CARD_X + 1, seed=0)
+        with pytest.raises(PreconditionError, match=r"oracle regime is \|X\| <= 4, got 5"):
+            solve_G_bruteforce(src, gamma=0.0, budget=1000)
+
     def test_deterministic_given_seed(self):
         src = random_source(2, 2, 3, seed=8)
         a, _ = solve_G_bruteforce(src, gamma=0.02, budget=20_000, seed=0)
@@ -401,6 +409,92 @@ class TestOraclePipeline:
         src = random_source(2, 2, 3, seed=0)
         with pytest.raises(PreconditionError, match="budget"):
             solve_G_bruteforce(src, 0.05, budget=budget, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 5, 12345])
+    def test_chunk_streams_apart_from_solver_restarts(self, monkeypatch, seed):
+        # restart r of the solver draws from default_rng([seed, r]); the LP
+        # draws from no stream at all, so it shares none with a restart
+        src = random_source(2, 2, 4, seed=3)
+        gamma = 0.5 * mutual_information(src.p_ux())
+        ref_leak, ref_ch = solve_G_bruteforce(src, gamma, budget=10_000, seed=0)
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the oracle made a random stream")
+
+        monkeypatch.setattr(np.random, "default_rng", no_stream)
+        monkeypatch.setattr(np.random, "SeedSequence", no_stream)
+        leak, ch = solve_G_bruteforce(src, gamma, budget=10_000, seed=seed)
+        assert leak == ref_leak
+        np.testing.assert_array_equal(ch.rows, ref_ch.rows)
+
+    def test_huge_budget_makes_a_bounded_number_of_streams(self, monkeypatch):
+        # budget caps the pivots; a huge cap allocates nothing in proportion
+        # to it, makes no stream and answers as a small one does
+        src = random_source(2, 2, 4, seed=4)
+        gamma = 0.5 * mutual_information(src.p_ux())
+        ref_leak, ref_ch = solve_G_bruteforce(src, gamma, budget=10_000, seed=0)
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the oracle made a random stream")
+
+        monkeypatch.setattr(np.random, "default_rng", no_stream)
+        monkeypatch.setattr(np.random, "SeedSequence", no_stream)
+        before = threading.active_count()
+        tracemalloc.start()
+        try:
+            leak, ch = solve_G_bruteforce(src, gamma, budget=10**11, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert threading.active_count() == before
+        assert peak < 16 * 2**20  # 3.2 MiB on this source
+        assert leak == ref_leak
+        np.testing.assert_array_equal(ch.rows, ref_ch.rows)
+
+    def test_worker_thread_ends(self):
+        # the LP runs on the caller's thread: none is left after an answer or an error
+        src = random_source(2, 2, 3, seed=4)
+        cap = mutual_information(src.p_ux())
+        before = threading.active_count()
+        solve_G_bruteforce(src, 0.5 * cap, budget=60_000, seed=0)
+        assert threading.active_count() == before
+        with pytest.raises(InfeasibleGammaError, match="exceeds the maximum"):
+            solve_G_bruteforce(src, cap + 0.1, budget=60_000, seed=0)
+        assert threading.active_count() == before
+        src = random_source(2, 2, 3, seed=2005)  # the first solve takes 16 pivots
+        with pytest.raises(DivergenceError, match="pivot budget"):
+            solve_G_bruteforce(src, 0.5 * mutual_information(src.p_ux()), budget=1, seed=0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["draw", "scorer"])
+    def test_failure_stops_the_search(self, monkeypatch, where):
+        # "draw" makes the candidate posteriors of the first refinement fail,
+        # "scorer" the first recomputation of the returned channel's I(U;Z)
+        src = random_source(2, 2, 3, seed=4)
+        grids, calls = [], []
+        grid, mi_terms = ib_solver._grid, ib_solver._batched_mi_terms
+
+        def drawing(*args):
+            grids.append(args)
+            if where == "draw" and len(grids) == 2:
+                raise RuntimeError("draw failed")
+            return grid(*args)
+
+        def scoring(probs, channels):
+            calls.append(len(channels))
+            if where == "scorer":
+                raise RuntimeError("scorer failed")
+            return mi_terms(probs, channels)
+
+        monkeypatch.setattr(ib_solver, "_grid", drawing)
+        monkeypatch.setattr(ib_solver, "_batched_mi_terms", scoring)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            solve_G_bruteforce(src, 0.5 * mutual_information(src.p_ux()), budget=10_000, seed=0)
+        assert threading.active_count() == before
+        # the failure ends the call: no later refinement or scoring runs
+        assert len(grids) == (2 if where == "draw" else 1 + len(ib_solver._REFINEMENTS))
+        assert calls == ([] if where == "draw" else [1])
 
 
 def funnel_lp(src, gamma, posteriors):

@@ -58,6 +58,7 @@ from .fair_encoder import (
 from .fairness_metrics import (
     DownstreamClassifier,
     EvalReport,
+    bayes_attacker_accuracy,
     delta_dp,
     delta_eo,
     full_report,

@@ -219,16 +219,26 @@ def quantize(features: np.ndarray, codebook: np.ndarray):
     return idx.reshape(f.shape[:-1]), cb[idx].reshape(f.shape)
 
 
+def pre_mechanism(model: EncoderModel, x: np.ndarray) -> np.ndarray:
+    """What the mechanism randomizes: the (n, d) truncated vector for the
+    continuous family, the (n, d) code indices for the discrete."""
+    feats = model.encoder_features(x)
+    return quantize(feats, model.codebook.data)[0] if model.discrete else feats
+
+
+def randomize(model: EncoderModel, clean: np.ndarray, rng: np.random.Generator) -> Embeddings:
+    """One mechanism draw on `pre_mechanism`'s output."""
+    if model.discrete:
+        z_idx = rr_randomize(clean, model.mechanism, rng)
+        emb = model.codebook.data[z_idx].reshape(z_idx.shape[0], -1)
+        return Embeddings(z=emb, indices=z_idx)
+    return Embeddings(z=laplace_randomize(clean, model.mechanism, rng))
+
+
 def encode(model: EncoderModel, x: np.ndarray, rng: np.random.Generator) -> Embeddings:
     """Randomized representation of a feature batch; never exposes the
     pre-mechanism value."""
-    feats = model.encoder_features(x)
-    if model.discrete:
-        idx, _ = quantize(feats, model.codebook.data)
-        z_idx = rr_randomize(idx, model.mechanism, rng)
-        emb = model.codebook.data[z_idx].reshape(z_idx.shape[0], -1)
-        return Embeddings(z=emb, indices=z_idx)
-    return Embeddings(z=laplace_randomize(feats, model.mechanism, rng))
+    return randomize(model, pre_mechanism(model, x), rng)
 
 
 def embed_dataset(model: EncoderModel, ds: TabularDataset, seed: int) -> Embeddings:

@@ -2,10 +2,11 @@
 
 Demographic-parity and equalized-odds gaps are computed from hard
 predictions of the trained utility decoder.  The sensitive-recovery
-attack is a small MLP classifier trained on frozen randomized
-representations; leakage in nats comes from the plug-in estimator for
-discrete codes and, for Laplace-noised vectors, the known-noise
-Laplace-mixture estimator over the test split.
+attacker sees only the randomized representation: on released discrete
+codes it is the empirical Bayes rule, a count table over the codes, and
+on Laplace-noised vectors a small MLP classifier.  Leakage in nats comes
+from the plug-in estimator for discrete codes and, for Laplace-noised
+vectors, the known-noise Laplace-mixture estimator over the test split.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import TabularDataset
 from .errors import PreconditionError
-from .fair_encoder import EncoderModel, embed_dataset
+from .fair_encoder import EncoderModel, pre_mechanism, randomize
 from .info_measures import laplace_mixture_mi, plugin_mi
 
 DOWNSTREAM_EPOCHS = 40
@@ -130,6 +131,36 @@ def sensitive_accuracy(representations, s, seed: int) -> float:
     return train_downstream(representations, sv, seed).accuracy
 
 
+def bayes_attacker_accuracy(codes, s, seed: int) -> float:
+    """Held-out accuracy of the empirical Bayes rule predicting s from codes.
+
+    On a seeded split of `sensitive_accuracy`'s sizes, each code seen in
+    the training part predicts its most frequent s there, and a code never
+    seen predicts the training majority; ties go to the lowest s.  Over a
+    finite alphabet no attacker is more accurate on the training part
+    (Bayes vulnerability: Smith, "On the Foundations of Quantitative
+    Information Flow", FoSSaCS 2009).  Only the codes that occur are
+    counted, so memory is O(n) whatever the alphabet size.
+    """
+    c = np.asarray(codes).reshape(-1)
+    s_vals, sv = np.unique(np.asarray(s).reshape(-1), return_inverse=True)
+    if s_vals.size < 2:
+        raise PreconditionError("bayes_attacker_accuracy: s takes a single value")
+    if c.size != sv.size:
+        raise PreconditionError("bayes_attacker_accuracy: code/label counts disagree")
+    if c.size < 10:
+        raise PreconditionError("bayes_attacker_accuracy: need at least 10 samples")
+    order = np.random.default_rng(seed).permutation(c.size)
+    cut = max(1, int(round(c.size * (1.0 - DOWNSTREAM_TEST_FRACTION))))
+    tr, te = order[:cut], order[cut:]
+    code = np.unique(c, return_inverse=True)[1].reshape(-1)
+    m = s_vals.size
+    table = np.bincount(code[tr] * m + sv[tr], minlength=(code.max() + 1) * m).reshape(-1, m)
+    guess = table.argmax(axis=1)  # argmax takes the lowest s on ties
+    guess[table.sum(axis=1) == 0] = np.bincount(sv[tr], minlength=m).argmax()
+    return float((guess[code[te]] == sv[te]).mean())
+
+
 @dataclass
 class EvalReport:
     """Seed-aggregated evaluation of a trained encoder."""
@@ -149,36 +180,40 @@ class EvalReport:
 
 
 def full_report(model: EncoderModel, test_ds: TabularDataset, seeds: list[int]) -> EvalReport:
-    """Embed the test split once per seed and aggregate all metrics.
+    """Randomize the test split's encoder output once per seed and
+    aggregate all metrics.
 
-    Each seed fixes a single mechanism draw per datum; utility predictions
-    come from the trained utility decoder, the attacker is trained on the
-    same frozen representations, and leakage toward s is estimated by
-    plug-in mutual information over discrete codes, or over continuous
-    vectors by the Laplace-mixture estimator, which scores the draw against
-    the exact noise density around every pre-noise encoder output.
+    The encoder runs once; each seed fixes a single mechanism draw per
+    datum.  Utility predictions come from the trained utility decoder.  On
+    discrete codes the attacker is the empirical Bayes rule over the
+    released joint codes (`bayes_attacker_accuracy`) and leakage toward s
+    is their plug-in mutual information; on continuous vectors the
+    attacker is an MLP trained on the noisy vectors (`sensitive_accuracy`)
+    and leakage is the Laplace-mixture estimate, which scores the draw
+    against the exact noise density around every pre-noise encoder output.
     """
     if not seeds:
         raise PreconditionError("full_report: need at least one seed")
     per = {k: [] for k in ("accuracy", "delta_dp", "delta_eo", "leakage", "sensitive_accuracy")}
-    clean = None if model.discrete else model.encoder_features(test_ds.features)
+    clean = pre_mechanism(model, test_ds.features)
     for seed in seeds:
-        emb = embed_dataset(model, test_ds, seed)
+        emb = randomize(model, clean, np.random.default_rng(seed))
         preds = model.predict_utility(emb.z)
         per["accuracy"].append(float((preds == test_ds.u).mean()))
         per["delta_dp"].append(delta_dp(preds, test_ds.s))
         per["delta_eo"].append(delta_eo(preds, test_ds.s, test_ds.u))
-        if emb.indices is not None:
+        if model.discrete:
             k, d = model.mechanism.k, model.mechanism.d
             joint_code = np.ravel_multi_index(tuple(emb.indices.T), (k,) * d)
             per["leakage"].append(plugin_mi(joint_code, test_ds.s, card_a=k**d, card_b=2))
+            per["sensitive_accuracy"].append(bayes_attacker_accuracy(joint_code, test_ds.s, seed))
         else:
             # no I(S;Z) is below 0, but the estimate's logs are biased low and
             # can take it there near independence (see laplace_mixture_mi)
             per["leakage"].append(
                 max(0.0, laplace_mixture_mi(clean, test_ds.s, emb.z, model.mechanism.scale))
             )
-        per["sensitive_accuracy"].append(sensitive_accuracy(emb.z, test_ds.s, seed))
+            per["sensitive_accuracy"].append(sensitive_accuracy(emb.z, test_ds.s, seed))
 
     def mean_std(key):
         vals = np.array(per[key])

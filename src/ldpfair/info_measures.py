@@ -74,10 +74,12 @@ def conditional_mi(joint) -> float:
 def plugin_mi(samples_a, samples_b, card_a=None, card_b=None, smoothing: float = 0.0) -> float:
     """Plug-in MI of the empirical joint over paired discrete labels.
 
-    Optional additive smoothing adds pseudo-counts to every cell before
-    normalizing.  With the default 0 the estimate is biased upward by
-    about (K - 1)(L - 1) / (2n) nats for K x L cells and n samples, so it
-    can exceed the true MI, and any data-processing ceiling, at small n.
+    Optional additive smoothing adds pseudo-counts to every cell of the
+    declared card_a x card_b table before normalizing.  With the default 0
+    the estimate is biased upward by about (K - 1)(L - 1) / (2n) nats for
+    K x L cells and n samples, so it can exceed the true MI, and any
+    data-processing ceiling, at small n.  Only the labels that occur are
+    counted, so memory is O(n) whatever the declared cardinalities.
     """
     a = np.asarray(samples_a, dtype=np.intp).reshape(-1)
     b = np.asarray(samples_b, dtype=np.intp).reshape(-1)
@@ -91,10 +93,27 @@ def plugin_mi(samples_a, samples_b, card_a=None, card_b=None, smoothing: float =
     kb = int(card_b) if card_b is not None else int(b.max()) + 1
     if a.min() < 0 or a.max() >= ka or b.min() < 0 or b.max() >= kb:
         raise PreconditionError("plugin_mi: label outside declared cardinality")
-    counts = np.zeros((ka, kb))
-    np.add.at(counts, (a, b), 1.0)
+    # rows and columns of the labels that occur, in label order: the
+    # declared table's other cells are empty and add nothing to the sums
+    a = np.unique(a, return_inverse=True)[1].reshape(-1)
+    b = np.unique(b, return_inverse=True)[1].reshape(-1)
+    rows, cols = int(a.max()) + 1, int(b.max()) + 1
+    counts = np.bincount(a * cols + b, minlength=rows * cols).reshape(rows, cols).astype(np.float64)
+    if not smoothing:
+        return mutual_information(counts / counts.sum())
+    # each empty cell, row and column of the declared table holds only
+    # pseudo-counts, so enters the sums once, weighted by how many there are
+    total = counts.sum() + smoothing * ka * kb
+
+    def plogp(seen, empty_value, empty):
+        p = np.append(seen, empty_value) / total
+        return float((np.append(np.ones(seen.size), empty) * p * np.log(p)).sum())
+
     counts += smoothing
-    return mutual_information(counts / counts.sum())
+    joint = plogp(counts.ravel(), smoothing, ka * kb - rows * cols)
+    pa = plogp(counts.sum(axis=1) + smoothing * (kb - cols), smoothing * kb, ka - rows)
+    pb = plogp(counts.sum(axis=0) + smoothing * (ka - rows), smoothing * ka, kb - cols)
+    return _clamp_nonneg(joint - pa - pb)
 
 
 # -- known-noise mixture -----------------------------------------------------

@@ -147,6 +147,21 @@ class TestCommands:
         assert "config_hash" in report
         assert 0.0 <= report["accuracy_mean"] <= 1.0
 
+    def test_huge_code_alphabet_evaluates(self, tmp_path, capsys):
+        # k^d = 10^10 joint codes: leakage and the attacker count only the
+        # codes that occur, so evaluate neither allocates a table over the
+        # alphabet nor leaves as a traceback
+        cfg = write_cfg(
+            tmp_path,
+            "dataset=synthetic\ncard_x=4\nn_train=100\nn_test=100\nmechanism=rr\nk=100000\nd=2\n"
+            "epsilon=5\nbeta=1\nepochs=1\nbatch=50\n",
+        )
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert 0.0 <= report["leakage_mean"] <= np.log(2)
+
     def test_evaluate_report_json_round_trip(self, tmp_path):
         # report.json holds the report's fields and the config hash
         text = SYNTH_CFG.replace("mechanism=laplace", "mechanism=rr\nk=4\nd=2")

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,11 @@ from ldpfair import (
     train,
     train_downstream,
     RandomizedResponse,
+    embed_dataset,
+    plugin_mi,
 )
 from ldpfair.fair_encoder import EncoderModel
+from ldpfair.fairness_metrics import DOWNSTREAM_TEST_FRACTION, bayes_attacker_accuracy
 
 
 class TestDeltaDp:
@@ -148,6 +154,86 @@ class TestSensitiveAccuracy:
         assert sensitive_accuracy(z, s, seed=0) > 0.9
 
 
+def _split(n, seed):
+    """The attacker's seeded train and held-out rows."""
+    order = np.random.default_rng(seed).permutation(n)
+    cut = max(1, int(round(n * (1.0 - DOWNSTREAM_TEST_FRACTION))))
+    return order[:cut], order[cut:]
+
+
+class TestBayesAttacker:
+    @pytest.mark.parametrize("codes", [2, 4, 6])
+    def test_is_the_best_lookup_table_on_the_training_part(self, codes):
+        # every map from K codes to s, enumerated: the rule scores on the
+        # held-out rows as the first (so lowest-s on ties) of the tables
+        # that are most accurate on the training rows, with a code absent
+        # from training sent to the training majority
+        rng = np.random.default_rng(codes)
+        for seed in range(8):
+            n = int(rng.integers(10, 40))
+            c = rng.integers(0, codes, n) * 1000 + 7  # codes need not be 0..K-1
+            s = rng.integers(0, 2, n)
+            s[:2] = (0, 1)
+            tr, te = _split(n, seed)
+            labels = np.unique(c)
+            pos = np.searchsorted(labels, c)
+            best, best_hits = None, -1
+            for table in itertools.product((0, 1), repeat=labels.size):
+                hits = int((np.array(table)[pos[tr]] == s[tr]).sum())
+                if hits > best_hits:
+                    best, best_hits = np.array(table), hits
+            majority = int(np.bincount(s[tr], minlength=2).argmax())
+            unseen = ~np.isin(labels, c[tr])
+            best[unseen] = majority
+            expected = float((best[pos[te]] == s[te]).mean())
+            assert bayes_attacker_accuracy(c, s, seed) == expected
+
+    @pytest.mark.parametrize("held_out_s, accuracy", [(1, 1.0), (0, 0.0)])
+    def test_unseen_code_gets_the_training_majority(self, held_out_s, accuracy):
+        # training rows: code 0 holds s = 0 (4 rows) and code 1 holds s = 1
+        # (10 rows), so the majority is 1; every held-out row has code 9
+        tr, te = _split(20, seed=3)
+        c, s = np.zeros(20, dtype=int), np.zeros(20, dtype=int)
+        c[tr[4:]], s[tr[4:]] = 1, 1
+        c[te], s[te] = 9, held_out_s
+        assert bayes_attacker_accuracy(c, s, seed=3) == accuracy
+
+    def test_ties_go_to_s_zero(self):
+        # code 0 has 7 training rows of each s, and so does the whole
+        # training part: both the code's row and the majority tie
+        tr, te = _split(20, seed=4)
+        c, s = np.zeros(20, dtype=int), np.zeros(20, dtype=int)
+        s[tr[7:]] = 1
+        c[te[:3]] = 5  # unseen, so the (tied) majority
+        assert bayes_attacker_accuracy(c, s, seed=4) == 1.0
+        s[te] = 1
+        assert bayes_attacker_accuracy(c, s, seed=4) == 0.0
+
+    def test_rejects_constant_s_short_input_and_length_mismatch(self):
+        with pytest.raises(PreconditionError, match="single value"):
+            bayes_attacker_accuracy(np.arange(50), np.ones(50, dtype=int), seed=0)
+        with pytest.raises(PreconditionError, match="at least 10"):
+            bayes_attacker_accuracy(np.arange(9), np.arange(9) % 2, seed=0)
+        with pytest.raises(PreconditionError, match="disagree"):
+            bayes_attacker_accuracy(np.arange(20), np.arange(21) % 2, seed=0)
+
+    def test_huge_alphabet_stays_small(self):
+        # 200 rows over a 10^10-code alphabet: only the codes that occur
+        # are counted, so some KiB and not a table over the alphabet
+        rng = np.random.default_rng(5)
+        c = rng.integers(0, 10**10, 200)
+        c[100:] = c[:100]
+        s = rng.integers(0, 2, 200)
+        tracemalloc.start()
+        try:
+            acc = bayes_attacker_accuracy(c, s, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= acc <= 1.0
+        assert peak < 64 * 1024
+
+
 def _trained_model(mech, epochs=6):
     src = random_source(2, 2, 4, seed=3)
     spec = SyntheticSpec(
@@ -199,6 +285,35 @@ class TestFullReport:
         model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=4, d=2))
         rep = full_report(model, te, seeds=[0])
         assert rep.leakage_mean >= 0.0
+
+    def test_discrete_attacker_is_the_count_table(self):
+        model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=4, d=2))
+        seeds = [0, 7, 11]
+        rep = full_report(model, te, seeds=seeds)
+        for i, seed in enumerate(seeds):
+            emb = embed_dataset(model, te, seed)
+            code = np.ravel_multi_index(tuple(emb.indices.T), (4, 4))
+            assert rep.per_seed["sensitive_accuracy"][i] == bayes_attacker_accuracy(code, te.s, seed)
+            assert rep.per_seed["leakage"][i] == plugin_mi(code, te.s, card_a=16, card_b=2)
+
+    def test_continuous_attacker_is_the_mlp(self):
+        model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2), epochs=1)
+        rep = full_report(model, te, seeds=[2])
+        emb = embed_dataset(model, te, 2)
+        assert rep.per_seed["sensitive_accuracy"] == [sensitive_accuracy(emb.z, te.s, 2)]
+
+    @pytest.mark.parametrize(
+        "mech", [RandomizedResponse(epsilon=5.0, k=4, d=2), LaplaceMechanism(epsilon=5.0, t=0.5, d=2)]
+    )
+    def test_encoder_runs_once_per_report(self, mech, monkeypatch):
+        model, te = _trained_model(mech, epochs=1)
+        calls = []
+        features = EncoderModel.encoder_features
+        monkeypatch.setattr(
+            EncoderModel, "encoder_features", lambda self, x: calls.append(1) or features(self, x)
+        )
+        full_report(model, te, seeds=[0, 1, 2])
+        assert len(calls) == 1
 
     def test_requires_seeds(self):
         model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2), epochs=1)

@@ -126,6 +126,31 @@ class TestPluginMi:
         a = [0, 1] * 20
         assert plugin_mi(a, a, smoothing=1.0) < plugin_mi(a, a)
 
+    def test_huge_declared_alphabet_equals_compact_codes(self):
+        # only the codes that occur are counted: a 10^10-code alphabet on
+        # 200 samples gives the value of the same codes relabeled 0, 1, ...
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 10**10, size=200)
+        a[100:] = a[:100]  # codes shared by several rows
+        s = rng.integers(0, 2, size=200)
+        compact = np.unique(a, return_inverse=True)[1]
+        assert plugin_mi(a, s, card_a=10**10, card_b=2) == plugin_mi(compact, s)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 2.0])
+    def test_equals_dense_table(self, smoothing):
+        # the declared table written out cell by cell, unseen labels included
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            n, ka, kb = rng.integers(2, 60), int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            a, b = rng.integers(0, ka, n), rng.integers(0, kb, n)
+            card_a, card_b = ka + int(rng.integers(0, 4)), kb + int(rng.integers(0, 3))
+            counts = np.zeros((card_a, card_b))
+            np.add.at(counts, (a, b), 1.0)
+            counts += smoothing
+            dense = mutual_information(counts / counts.sum())
+            est = plugin_mi(a, b, card_a=card_a, card_b=card_b, smoothing=smoothing)
+            assert est == pytest.approx(dense, abs=1e-14)
+
     def test_consistency_on_sampled_joint(self):
         src = random_source(2, 2, 2, seed=0)
         enc = random_channel(2, 3, seed=1)

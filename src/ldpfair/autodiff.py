@@ -18,11 +18,12 @@ differences.
 fixed losses that train (the fair encoder's Monte Carlo objective, the
 downstream classifiers and MINE) and the no-gradient forwards of
 evaluation.  Its forward writes each layer's output into a buffer made
-once per batch size, its backward applies each activation backward in
-place and writes the weight and bias gradients into caller-given views,
-usually of one flat gradient buffer (`flat_grad`) that `adam_step` takes
-whole.  It runs the float operations of the `dense` nodes chained, in the
-tape's order, so its values and gradients equal the tape's bit for bit.
+for the largest batch so far, its backward applies each activation
+backward in place and writes the weight and bias gradients into
+caller-given views, usually of one flat gradient buffer (`flat_grad`)
+that `adam_step` takes whole.  It runs the float operations of the
+`dense` nodes chained, in the tape's order, so its values and gradients
+equal the tape's bit for bit.
 
 An affine layer is one tape node: `dense(x, w, b, act)` computes
 act(x @ w + b) with the same float operations, in the same order, as the
@@ -370,6 +371,24 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return out
 
 
+def group_mean(a: Tensor, groups: np.ndarray) -> Tensor:
+    """Rows of a matrix pooled by group, for rows equal within each group.
+
+    groups labels each row with its group, 0..G-1, every label used.  The
+    value is each group's first row, which is its mean when its rows are
+    equal; the gradient is the group mean's, straight through: each row
+    gets its group's gradient divided by the group's size."""
+    inv = np.asarray(groups, dtype=np.intp)
+    _, first, counts = np.unique(inv, return_index=True, return_counts=True)
+    out = Tensor(a.data[first], parents=(a,))
+
+    def bw(g):
+        _accum(a, g[inv] / counts[inv][:, None])
+
+    out._backward_fn = bw if out.requires_grad else None
+    return out
+
+
 def take_cols(a: Tensor, cols) -> Tensor:
     """Columns a[:, cols] of a matrix, for a slice or distinct column indices."""
     out = Tensor(a.data[:, cols], parents=(a,))
@@ -507,21 +526,21 @@ class MlpPass:
     """Buffered forward and hand-written backward of one `Mlp`.
 
     `forward` writes each layer's output into a buffer, `backward` writes
-    each layer's input gradient into another; a set of buffers is made
-    once per batch size and reused by every later call at that size.  The
-    float operations are those of the `dense` nodes chained, in the tape's
-    order, so outputs and gradients equal the tape's bit for bit.  What
-    `forward` returns and `backward` takes stays valid only until the next
-    call at the same batch size.  The weights are read at every call, so
-    `adam_step` may rebind them between calls.  Reusing the buffers pays:
-    on two cores, writing a matrix product into fresh memory costs about
-    as much as computing it.
+    each layer's input gradient into another.  One set of buffers is kept,
+    made for the largest batch so far, and a batch of n rows works in
+    their first n rows.  The float operations are those of the `dense`
+    nodes chained, in the tape's order, so outputs and gradients equal the
+    tape's bit for bit.  What `forward` returns and `backward` takes stays
+    valid only until the next `forward`.  The weights are read at every
+    call, so `adam_step` may rebind them between calls.  Reusing the
+    buffers pays: on two cores, writing a matrix product into fresh memory
+    costs about as much as computing it.
     """
 
     def __init__(self, net: Mlp, input_grad: bool = False):
         self.net = net
         self.input_grad = input_grad  # backward also returns the gradient on the input
-        self._buffers: dict[int, tuple[list, list]] = {}
+        self._outs: list[np.ndarray] = []
         self._hs: list[np.ndarray] = []
         self._grad_in: list = []
 
@@ -529,15 +548,13 @@ class MlpPass:
         """The network's output on x, in a work buffer; keeps the layer
         outputs for the next `backward`."""
         n = x.shape[0]
-        if n not in self._buffers:
+        if not self._outs or self._outs[0].shape[0] < n:
             widths = self.net.spec.widths
-            self._buffers[n] = (
-                [np.empty((n, w)) for w in widths[1:]],
-                [np.empty((n, w)) if i or self.input_grad else None for i, w in enumerate(widths[:-1])],
-            )
-        outs, self._grad_in = self._buffers[n]
+            self._outs = [np.empty((n, w)) for w in widths[1:]]
+            self._grad_in = [np.empty((n, w)) if i or self.input_grad else None for i, w in enumerate(widths[:-1])]
         hs = [x]
-        for w, b, act, o in zip(self.net.weights, self.net.biases, self.net.spec.activations, outs):
+        for w, b, act, o in zip(self.net.weights, self.net.biases, self.net.spec.activations, self._outs):
+            o = o[:n]
             np.matmul(hs[-1], w.data, out=o)
             o += b.data
             hs.append(ACTIVATIONS[act][0](o, out=o))
@@ -556,7 +573,7 @@ class MlpPass:
             np.add.reduce(g, axis=0, out=grads[2 * i + 1])
             if i == 0 and not self.input_grad:
                 return None
-            g = np.matmul(g, net.weights[i].data.T, out=self._grad_in[i])
+            g = np.matmul(g, net.weights[i].data.T, out=self._grad_in[i][: g.shape[0]])
         return g
 
 

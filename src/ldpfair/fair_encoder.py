@@ -5,20 +5,27 @@ features to a truncated real vector (t * tanh of the encoder output) and
 adds Laplace noise; the discrete family vector-quantizes the encoder
 output against a learned codebook and randomizes the code indices.  In
 both cases the decoders only ever see the randomized representation, so
-everything downstream of the mechanism inherits its privacy guarantee.
+everything downstream of the mechanism inherits its privacy guarantee:
+on the discrete family they see exactly the released codewords
+codebook[z], and the encoder gets their gradient straight through the
+quantizer (van den Oord et al., "Neural Discrete Representation
+Learning", arXiv:1711.00937).
 
 The minimized loss is a Monte Carlo estimate (L draws of the mechanism
 per datum) of
 
     E[-log q(x | z, s)] + beta * E[-log q(u | z)]
 
-plus, for the discrete family, the codebook and commitment terms.
-`Objective` computes that loss and its gradient by hand over buffered
-network passes, and `train` and `mc_loss` use it; `_loss_graph` builds the
-same loss on the autodiff tape and stays as the reference it is tested
-against, bit for bit.  The module also carries exact enumeration helpers
-for small finite models so the sampled loss and the variational bound can
-be checked against closed forms.
+plus, for the discrete family, the codebook and commitment terms.  On the
+discrete family a batch's utility term depends only on its table of
+distinct (joint code, u) pairs, so the utility decoder runs once per pair,
+weighted by the pair's count; the side decoder reads each row's x and
+runs on every row.  `Objective` computes that loss and its gradient by
+hand over buffered network passes, and `train` and `mc_loss` use it;
+`_loss_graph` builds the same loss on the autodiff tape and stays as the
+reference it is tested against, bit for bit.  The module also carries
+exact enumeration helpers for small finite models so the sampled loss and
+the variational bound can be checked against closed forms.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from .ldp_mechanisms import (
 
 DEFAULT_CODE_DIM = 8
 HIDDEN_WIDTH = 100
+QUANTIZE_BLOCK = 1 << 20  # distance entries `quantize` forms at a time
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,10 @@ def quantize(features: np.ndarray, codebook: np.ndarray):
 
     features: (..., code_dim); codebook: (k, code_dim).  Ties resolve to
     the lowest index.  Returns (indices, embeddings) with the shapes
-    (...) and (..., code_dim).
+    (...) and (..., code_dim).  The feature-to-code distances are formed
+    for as many feature vectors at a time as keep the block within
+    `QUANTIZE_BLOCK` entries (one vector when k alone exceeds it), so
+    memory stays bounded whatever the batch and the alphabet.
     """
     f = np.asarray(features, dtype=np.float64)
     cb = np.asarray(codebook, dtype=np.float64)
@@ -214,9 +225,30 @@ def quantize(features: np.ndarray, codebook: np.ndarray):
             f"feature dim {f.shape[-1]} does not match code dim {cb.shape[1]}"
         )
     flat = f.reshape(-1, cb.shape[1])
-    d2 = (flat * flat).sum(axis=1, keepdims=True) - 2.0 * flat @ cb.T + (cb * cb).sum(axis=1)
-    idx = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
+    cb_sq = (cb * cb).sum(axis=1)
+    step = max(1, QUANTIZE_BLOCK // cb.shape[0])
+    idx = np.empty(flat.shape[0], dtype=np.intp)
+    for lo in range(0, flat.shape[0], step):
+        part = flat[lo : lo + step]
+        d2 = (part * part).sum(axis=1, keepdims=True) - 2.0 * part @ cb.T + cb_sq
+        idx[lo : lo + step] = np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
     return idx.reshape(f.shape[:-1]), cb[idx].reshape(f.shape)
+
+
+def joint_code(indices: np.ndarray, k: int) -> np.ndarray:
+    """One integer per row of an (n, d) matrix of codes below k, equal for
+    equal rows and ordered as the rows are lexicographically.
+
+    The columns are folded in one at a time, each fold relabeling the
+    codes so far to 0..m-1 by rank, so no intermediate key reaches n * k
+    and none wraps however large k^d is.  For d = 1 the codes are returned
+    as they are.
+    """
+    z = np.asarray(indices, dtype=np.intp)
+    code = z[:, 0]
+    for col in z.T[1:]:
+        code = np.unique(code * k + col, return_inverse=True)[1]
+    return code
 
 
 def pre_mechanism(model: EncoderModel, x: np.ndarray) -> np.ndarray:
@@ -249,6 +281,17 @@ def embed_dataset(model: EncoderModel, ds: TabularDataset, seed: int) -> Embeddi
 # -- loss --------------------------------------------------------------------
 
 
+def _code_label_table(model: EncoderModel, z: np.ndarray, u: np.ndarray):
+    """The distinct (joint code, u) pairs of a batch's (n, d) released codes
+    and labels, in order: the first row of each pair, each row's pair, and
+    each pair's row count."""
+    if u.min() < 0 or u.max() >= model.card_u:
+        raise PreconditionError(f"utility labels must lie in [0, {model.card_u})")
+    key = joint_code(z, model.mechanism.k) * model.card_u + u
+    _, first, pair, counts = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    return first, pair, counts
+
+
 def _loss_graph(model, x, u, s, cfg, rng):
     """Build the scalar loss tensor for one batch on the tape; returns
     (tensor, breakdown).  The reference for `Objective`."""
@@ -263,14 +306,14 @@ def _loss_graph(model, x, u, s, cfg, rng):
             mech = model.mechanism
             feats = ad.reshape(h, (n * mech.d, model.code_dim))
             idx, emb = quantize(feats.data, model.codebook.data)
-            z_idx = rr_randomize(
-                idx.reshape(n, mech.d), mech, rng
-            ).reshape(-1)
-            # straight-through: decoders see the randomized embedding, the
-            # encoder sees an identity gradient through the quantizer
-            emb_rand = model.codebook.data[z_idx]
+            z = rr_randomize(idx.reshape(n, mech.d), mech, rng)
+            # straight-through: decoders see exactly the released codewords,
+            # (f - sg(f)) + cb[z], the encoder an identity gradient through
+            # the quantizer
+            emb_rand = model.codebook.data[z.reshape(-1)]
             dec_in = ad.reshape(
-                ad.add(feats, ad.Tensor(emb_rand - feats.data)), (n, mech.d * model.code_dim)
+                ad.add(ad.sub(feats, ad.Tensor(feats.data)), ad.Tensor(emb_rand)),
+                (n, mech.d * model.code_dim),
             )
             picked = ad.gather_rows(model.codebook, idx.reshape(-1))
             cb_diff = ad.sub(picked, ad.Tensor(feats.data))
@@ -282,8 +325,16 @@ def _loss_graph(model, x, u, s, cfg, rng):
             noise = rng.laplace(0.0, model.mechanism.scale, size=zhat.shape)
             dec_in = ad.add(zhat, ad.Tensor(noise))
 
-        util_logp = ad.log_softmax(model.utility_decoder(dec_in))
-        util_terms.append(ad.mean(ad.mul(ad.Tensor(-1.0), ad.pick(util_logp, u))))
+        if model.discrete:
+            # the utility term over the batch's (code, u) table, each pair
+            # weighted by its share of the rows
+            first, pair, counts = _code_label_table(model, z, u)
+            util_logp = ad.log_softmax(model.utility_decoder(ad.group_mean(dec_in, pair)))
+            nll = ad.mul(ad.Tensor(-1.0), ad.pick(util_logp, u[first]))
+            util_terms.append(ad.tsum(ad.mul(nll, ad.Tensor(counts / n))))
+        else:
+            util_logp = ad.log_softmax(model.utility_decoder(dec_in))
+            util_terms.append(ad.mean(ad.mul(ad.Tensor(-1.0), ad.pick(util_logp, u))))
 
         pred = model.side_decoder(ad.concat([dec_in, ad.Tensor(s_onehot)], axis=1))
         nll_parts = []
@@ -331,7 +382,14 @@ class Objective:
 
     Calling it on a batch returns the loss breakdown and fills `grad`, one
     flat array over `model.parameters()` in the layout of
-    `autodiff.flat_grad`, which `adam_step` takes whole.  Every float
+    `autodiff.flat_grad`, which `adam_step` takes whole.  On the discrete
+    family the decoders see the released codewords codebook[z], and for
+    each draw the utility term runs over the batch's (joint code, u) table:
+    the decoder runs forward and backward once per pair, with weight
+    count / n, and each row gets its pair's input gradient divided by the
+    count, the straight-through gradient of the pair's mean.  Its weight
+    gradients and per-row encoder gradients are those of the per-row term
+    up to the order of float operations.  Every float
     operation is the one `_loss_graph` tapes, run in the order the tape's
     backward runs it, so the breakdown equals `_loss_graph`'s and `grad`
     the taped gradient, bit for bit; the tape accumulates a gradient fed
@@ -392,20 +450,28 @@ class Objective:
         recon_terms, util_terms = [], []
         h_grad = None
         for draw in range(draws):
+            grads = self._dec_grads if draw == 0 else self._dec_extra_grads
             if model.discrete:
-                z_idx = rr_randomize(idx.reshape(n, mech.d), mech, rng).reshape(-1)
-                # straight-through: the decoders see the randomized embedding,
-                # the encoder an identity gradient through the quantizer
-                dec_in = cb[z_idx] - feats
-                dec_in += feats
-                dec_in = dec_in.reshape(n, -1)
+                z = rr_randomize(idx.reshape(n, mech.d), mech, rng)
+                # straight-through: the decoders see exactly the released
+                # codewords, the encoder an identity gradient through the
+                # quantizer
+                dec_in = cb[z.reshape(-1)].reshape(n, -1)
+                # rows of one (code, u) pair have one input and one label, so
+                # the utility decoder runs once per pair, weighted by its
+                # count, and each row gets its pair's input gradient over
+                # the count: the group mean's gradient
+                first, pair, counts = _code_label_table(model, z, u)
+                util_nll, g = _weighted_nll_and_grad(
+                    self._utility.forward(dec_in[first]), u[first], counts / n, g_util
+                )
+                g_util_in = self._utility.backward(g, grads[: self._n_util])
+                g_util_in = g_util_in[pair] / counts[pair][:, None]
             else:
                 dec_in = zhat + rng.laplace(0.0, model.mechanism.scale, size=zhat.shape)
-            grads = self._dec_grads if draw == 0 else self._dec_extra_grads
-
-            util_nll, g = ad.nll_and_grad(self._utility.forward(dec_in), u, g_util)
+                util_nll, g = ad.nll_and_grad(self._utility.forward(dec_in), u, g_util)
+                g_util_in = self._utility.backward(g, grads[: self._n_util])
             util_terms.append(util_nll)
-            g_util_in = self._utility.backward(g, grads[: self._n_util])
 
             pred = self._side.forward(np.concatenate([dec_in, s_onehot], axis=1))
             recon, g = self._reconstruction(pred, x, per_draw / n)
@@ -466,6 +532,19 @@ class Objective:
         for part in parts[1:]:
             total = total + part
         return total.mean(), grad
+
+
+def _weighted_nll_and_grad(logits: np.ndarray, labels: np.ndarray, weights: np.ndarray, g: float):
+    """Σ_i weights[i] * -log softmax(logits[i])[labels[i]] and its gradient
+    on the logits for upstream gradient g: the float operations of the
+    taped `tsum(mul(mul(-1, pick(log_softmax(logits), labels)), weights))`
+    and of its backward, in the tape's order."""
+    logp = ad.log_softmax_kernel(logits)
+    rows = np.arange(logp.shape[0])
+    nll = float(((-1.0 * logp[rows, labels]) * weights).sum())
+    picked = np.zeros_like(logp)
+    picked[rows, labels] = (g * weights) * -1.0
+    return nll, ad.log_softmax_grad(picked, logp)
 
 
 def mc_loss(

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .datasets import TabularDataset
 from .errors import PreconditionError
-from .fair_encoder import EncoderModel, pre_mechanism, randomize
+from .fair_encoder import EncoderModel, joint_code, pre_mechanism, randomize
 from .info_measures import laplace_mixture_mi, plugin_mi
 
 DOWNSTREAM_EPOCHS = 40
@@ -204,9 +204,9 @@ def full_report(model: EncoderModel, test_ds: TabularDataset, seeds: list[int]) 
         per["delta_eo"].append(delta_eo(preds, test_ds.s, test_ds.u))
         if model.discrete:
             k, d = model.mechanism.k, model.mechanism.d
-            joint_code = np.ravel_multi_index(tuple(emb.indices.T), (k,) * d)
-            per["leakage"].append(plugin_mi(joint_code, test_ds.s, card_a=k**d, card_b=2))
-            per["sensitive_accuracy"].append(bayes_attacker_accuracy(joint_code, test_ds.s, seed))
+            code = joint_code(emb.indices, k)
+            per["leakage"].append(plugin_mi(code, test_ds.s, card_a=k**d, card_b=2))
+            per["sensitive_accuracy"].append(bayes_attacker_accuracy(code, test_ds.s, seed))
         else:
             # no I(S;Z) is below 0, but the estimate's logs are biased low and
             # can take it there near independence (see laplace_mixture_mi)

@@ -117,6 +117,28 @@ class TestGradients:
         idx = np.array([0, 1, 2, 0])
         check_op(lambda t: ad.pick(t, idx), self.x)
 
+    def test_group_mean_on_tied_rows(self):
+        # rows tied within each group, as codewords gathered by code are:
+        # the op's value is then its group mean, a smooth function of x
+        rows, groups = np.array([3, 1, 3, 0, 1, 3]), np.array([2, 1, 2, 0, 1, 2])
+        w = np.random.default_rng(9).normal(size=(3, 3))
+        check_op(lambda t: ad.mul(ad.group_mean(ad.gather_rows(t, rows), groups), ad.Tensor(w)), self.x)
+
+    def test_group_mean_gradient_is_the_group_means(self):
+        # on untied rows the value is each group's first row, and the
+        # gradient is still that of the group means
+        groups = np.array([1, 0, 1, 1])
+        w = np.random.default_rng(10).normal(size=(2, 3))
+        t = ad.parameter(self.x)
+        out = ad.group_mean(t, groups)
+        np.testing.assert_array_equal(out.data, self.x[[1, 0]])
+        ad.backward(ad.tsum(ad.mul(out, ad.Tensor(w))))
+
+        def group_means(v):
+            return (np.stack([v[groups == g].mean(axis=0) for g in (0, 1)]) * w).sum()
+
+        np.testing.assert_allclose(t.grad, numeric_grad(group_means, self.x), rtol=1e-6, atol=1e-8)
+
     @pytest.mark.parametrize("cols", [slice(1, 3), np.array([2, 0])], ids=["slice", "indices"])
     def test_take_cols(self, cols):
         w = np.random.default_rng(8).normal(size=(4, 2))
@@ -193,7 +215,7 @@ class TestMlpPass:
         params = net.parameters()
         grad, views = ad.flat_grad(params)
         mlp = ad.MlpPass(net, input_grad=True)
-        # alternate two batch sizes: each keeps its own buffers
+        # alternate two batch sizes on one set of buffers
         for n in (40, 17, 40, 17):
             x = 3.0 * rng.normal(size=(n, 3))
             upstream = rng.normal(size=(n, 2))
@@ -203,6 +225,17 @@ class TestMlpPass:
             assert np.array_equal(got_dx, dx)
             assert all(np.array_equal(v, g) for v, g in zip(views, grads))
             assert np.array_equal(grad, np.concatenate([g.ravel() for g in grads]))
+
+    def test_one_set_of_buffers_for_every_batch_size(self):
+        # a batch works in the first rows of the largest batch's buffers
+        rng = np.random.default_rng(11)
+        net = ad.Mlp(ad.MlpSpec((3, 6, 2), ("relu", "identity")), rng)
+        mlp = ad.MlpPass(net, input_grad=True)
+        views = [np.empty(p.data.shape) for p in net.parameters()]
+        for n in (9, 30, 4, 17):
+            mlp.forward(rng.normal(size=(n, 3)))
+            mlp.backward(np.ones((n, 2)), views)
+        assert [b.shape for b in mlp._outs] == [(30, 6), (30, 2)]
 
     def test_no_input_gradient_by_default(self):
         rng = np.random.default_rng(6)

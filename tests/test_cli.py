@@ -162,6 +162,20 @@ class TestCommands:
         report = json.loads((tmp_path / "report.json").read_text())
         assert 0.0 <= report["leakage_mean"] <= np.log(2)
 
+    def test_joint_codes_past_int64_evaluate(self, tmp_path, capsys):
+        # k^d = 2^64 joint codes do not fit an int64 index: the joint code
+        # folds one coordinate at a time instead of forming k^d
+        cfg = write_cfg(
+            tmp_path,
+            "dataset=synthetic\ncard_x=4\nn_train=40\nn_test=40\nmechanism=rr\nk=65536\nd=4\n"
+            "epsilon=5\nbeta=1\nepochs=1\nbatch=20\n",
+        )
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert 0.0 <= report["leakage_mean"] <= np.log(2)
+
     def test_evaluate_report_json_round_trip(self, tmp_path):
         # report.json holds the report's fields and the config hash
         text = SYNTH_CFG.replace("mechanism=laplace", "mechanism=rr\nk=4\nd=2")

@@ -19,6 +19,7 @@ from ldpfair import (
     random_channel,
     random_source,
     rr_channel,
+    rr_randomize,
     save_model,
     train,
     true_posteriors,
@@ -60,6 +61,62 @@ class TestQuantize:
         idx, emb = quantize(np.zeros((5, 3, 2)), np.array([[0.0, 0.0], [1.0, 1.0]]))
         assert idx.shape == (5, 3)
         assert emb.shape == (5, 3, 2)
+
+
+class TestQuantizeBlocks:
+    """`quantize` forms the distances a block of rows at a time."""
+
+    @staticmethod
+    def unblocked(features, codebook):
+        flat = features.reshape(-1, codebook.shape[1])
+        d2 = (flat * flat).sum(axis=1, keepdims=True) - 2.0 * flat @ codebook.T + (codebook * codebook).sum(axis=1)
+        return np.argmin(d2, axis=1).reshape(features.shape[:-1])
+
+    @pytest.mark.parametrize("k", [7, 40, 300])
+    def test_many_blocks_equal_one(self, monkeypatch, k):
+        # a 256-entry block holds 36, 6 and (k alone exceeding it) 1 row
+        rng = np.random.default_rng(k)
+        feats, codebook = rng.normal(size=(103, 2, 3)), rng.normal(size=(k, 3))
+        monkeypatch.setattr(fe, "QUANTIZE_BLOCK", 256)
+        idx, emb = quantize(feats, codebook)
+        np.testing.assert_array_equal(idx, self.unblocked(feats, codebook))
+        np.testing.assert_array_equal(emb, codebook[idx])
+
+    def test_memory_is_bounded_at_a_large_alphabet(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        feats, codebook = rng.normal(size=(200, 2, 8)), rng.normal(size=(100_000, 8))
+        tracemalloc.start()
+        try:
+            idx, _ = quantize(feats, codebook)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole 400 x 10^5 distance matrix would take 320 MB
+        assert peak < 32 * 2**20
+        np.testing.assert_array_equal(idx[:5], self.unblocked(feats[:5], codebook))
+
+
+class TestJointCode:
+    @pytest.mark.parametrize("k,d", [(2, 1), (3, 2), (4, 3), (5, 4)])
+    def test_ranks_rows_lexicographically(self, k, d):
+        rng = np.random.default_rng(10 * k + d)
+        z = rng.integers(0, k, size=(60, d))
+        code = fe.joint_code(z, k)
+        # equal rows share a code, and codes order the rows as tuples do
+        rows = [tuple(r) for r in z]
+        for i in range(60):
+            for j in range(60):
+                assert (code[i] < code[j]) == (rows[i] < rows[j])
+                assert (code[i] == code[j]) == (rows[i] == rows[j])
+
+    def test_no_wrap_past_int64(self):
+        # 2^16 symbols at d = 4: k^d = 2^64, where a mixed-radix index wraps
+        k = 2**16
+        z = np.array([[0, 0, 0, 1], [k - 1, k - 1, k - 1, k - 1], [1, 0, 0, 0], [0, 0, 0, 1], [k - 1, 0, 0, 0]])
+        np.testing.assert_array_equal(fe.joint_code(z, k), [0, 3, 1, 0, 2])
+        assert np.array_equal(fe.joint_code(z[:, :1], k), z[:, 0])
 
 
 class TestEncode:
@@ -222,6 +279,156 @@ class TestObjective:
         assert batches == 3 and history[0].total == total / batches
         for a, b in zip(model.parameters(), params):
             assert np.array_equal(a.data, b.data)
+
+
+def per_row_loss_graph(model, x, u, s, cfg, rng):
+    """The discrete loss as the tape built it before the (code, u) table:
+    the utility decoder on every row, its input (cb[z] - f) + f, and the
+    mean of the rows' NLLs.  The reference for the pooled term."""
+    n, mech = x.shape[0], model.mechanism
+    s_onehot = np.eye(model.card_s)[np.asarray(s, dtype=np.intp)]
+    recon_terms, util_terms, cb_terms, cm_terms = [], [], [], []
+    h = model.encoder(ad.Tensor(x))
+    for _ in range(cfg.mc_samples):
+        feats = ad.reshape(h, (n * mech.d, model.code_dim))
+        idx, emb = quantize(feats.data, model.codebook.data)
+        z_idx = rr_randomize(idx.reshape(n, mech.d), mech, rng).reshape(-1)
+        emb_rand = model.codebook.data[z_idx]
+        dec_in = ad.reshape(ad.add(feats, ad.Tensor(emb_rand - feats.data)), (n, mech.d * model.code_dim))
+        picked = ad.gather_rows(model.codebook, idx.reshape(-1))
+        cb_terms.append(ad.mean(ad.tsum(ad.square(ad.sub(picked, ad.Tensor(feats.data))), axis=1)))
+        cm_terms.append(ad.mean(ad.tsum(ad.square(ad.sub(feats, ad.Tensor(emb))), axis=1)))
+        util_logp = ad.log_softmax(model.utility_decoder(dec_in))
+        util_terms.append(ad.mean(ad.mul(ad.Tensor(-1.0), ad.pick(util_logp, u))))
+        pred = model.side_decoder(ad.concat([dec_in, ad.Tensor(s_onehot)], axis=1))
+        parts = []
+        if model._numeric_cols.size:
+            diff = ad.sub(ad.take_cols(pred, model._numeric_cols), ad.Tensor(x[:, model._numeric_cols]))
+            parts.append(ad.mul(ad.Tensor(0.5), ad.tsum(ad.square(diff), axis=1)))
+        for lo, hi in model._cat_slices:
+            logp = ad.log_softmax(ad.take_cols(pred, slice(lo, hi)))
+            parts.append(ad.mul(ad.Tensor(-1.0), ad.tsum(ad.mul(logp, ad.Tensor(x[:, lo:hi])), axis=1)))
+        nll = parts[0]
+        for part in parts[1:]:
+            nll = ad.add(nll, part)
+        recon_terms.append(ad.mean(nll))
+
+    def avg(terms):
+        out = terms[0]
+        for t in terms[1:]:
+            out = ad.add(out, t)
+        return ad.mul(out, ad.Tensor(1.0 / len(terms)))
+
+    recon, util, cb, cm = avg(recon_terms), avg(util_terms), avg(cb_terms), avg(cm_terms)
+    loss = ad.add(ad.add(recon, ad.mul(ad.Tensor(cfg.beta), util)), ad.add(cb, ad.mul(ad.Tensor(cfg.commitment_weight), cm)))
+    values = [float(t.data) for t in (loss, recon, util, cb, cm)]
+    params = model.parameters()
+    ad.zero_grad(params)
+    ad.backward(loss)
+    return np.array(values), np.concatenate([p.grad.ravel() for p in params])
+
+
+def taped_loss_and_grad(model, x, u, s, cfg, rng):
+    loss, bd = fe._loss_graph(model, x, u, s, cfg, rng)
+    params = model.parameters()
+    ad.zero_grad(params)
+    ad.backward(loss)
+    values = np.array([bd.total, bd.reconstruction, bd.utility, bd.codebook, bd.commitment])
+    return values, np.concatenate([p.grad.ravel() for p in params])
+
+
+class TestPooledUtility:
+    """The utility term over the (code, u) table against the per-row term,
+    at fixed parameters and mechanism draws.  Only the order of float
+    operations differs, so each loss term and the whole gradient agree
+    within 1e-12 relative (the gradient relative to its largest entry)."""
+
+    @staticmethod
+    def check(model, x, u, s, cfg, seed):
+        ref_values, ref_grad = per_row_loss_graph(model, x, u, s, cfg, np.random.default_rng(seed))
+        tape_values, tape_grad = taped_loss_and_grad(model, x, u, s, cfg, np.random.default_rng(seed))
+        objective = fe.Objective(model, cfg)
+        bd = objective(x, u, s, np.random.default_rng(seed))
+        values = np.array([bd.total, bd.reconstruction, bd.utility, bd.codebook, bd.commitment])
+        for got, grad in ((values, objective.grad), (tape_values, tape_grad)):
+            assert np.all(np.abs(got - ref_values) <= 1e-12 * np.abs(ref_values))
+            assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+    @pytest.mark.parametrize("card_u", [2, 3])
+    @pytest.mark.parametrize("draws", [1, 2, 3])
+    @pytest.mark.parametrize("schema", ["numeric", "mixed"])
+    def test_equals_per_row_term(self, card_u, draws, schema):
+        mech = RandomizedResponse(epsilon=3.0, k=4, d=2)
+        model = EncoderModel(NUMERIC_SCHEMA if schema == "numeric" else MIXED_SCHEMA, mech, seed=2, card_u=card_u)
+        cfg = TrainConfig(beta=1.3, mc_samples=draws)
+        for n, seed in ((64, 11), (37, 12)):  # a full batch and a partial one
+            x, _, s = schema_batch(model.schema, n, seed)
+            u = np.random.default_rng(seed).integers(0, card_u, n)
+            self.check(model, x, u, s, cfg, seed)
+
+    def test_all_codes_distinct(self):
+        # 5000^2 joint codes at epsilon = 1: every row's released code is its own
+        mech = RandomizedResponse(epsilon=1.0, k=5000, d=2)
+        model = EncoderModel(NUMERIC_SCHEMA, mech, seed=3)
+        x, u, s = schema_batch(model.schema, 48, 13)
+        z = fe.rr_randomize(fe.pre_mechanism(model, x), mech, np.random.default_rng(13))
+        assert np.unique(fe.joint_code(z, mech.k)).size == 48
+        self.check(model, x, u, s, TrainConfig(beta=0.8, mc_samples=2), 13)
+
+    def test_a_single_code(self):
+        # one input row repeated, and no flip at epsilon = 60: one (code, u) pair
+        mech = RandomizedResponse(epsilon=60.0, k=3, d=1)
+        model = EncoderModel(NUMERIC_SCHEMA, mech, seed=4)
+        x = np.repeat(schema_batch(model.schema, 1, 14)[0], 30, axis=0)
+        u, s = np.ones(30, dtype=np.intp), np.arange(30) % 2
+        z = fe.rr_randomize(fe.pre_mechanism(model, x), mech, np.random.default_rng(14))
+        assert np.unique(z).size == 1
+        self.check(model, x, u, s, TrainConfig(beta=2.0, mc_samples=2), 14)
+
+    def test_labels_outside_the_decoder_are_rejected(self):
+        model = EncoderModel(NUMERIC_SCHEMA, RandomizedResponse(epsilon=3.0, k=4, d=2), seed=0)
+        x, u, s = schema_batch(model.schema, 20, 15)
+        for bad in (2, -1):
+            u[3] = bad
+            with pytest.raises(PreconditionError, match="utility labels"):
+                mc_loss(model, x, u, s, TrainConfig(), np.random.default_rng(0))
+
+
+class TestExactCodewords:
+    def test_decoders_see_the_released_codewords(self, monkeypatch):
+        # every decoder input row of a training step is codebook[z] of its
+        # draw, bit for bit; the utility decoder sees one row per (code, u)
+        # pair, in the pairs' order
+        _, tr, _ = toy_dataset(n_train=200)
+        mech = RandomizedResponse(epsilon=2.0, k=4, d=2)
+        model = EncoderModel(tr.schema, mech, seed=0)
+        train(model, tr, TrainConfig(epochs=1, batch_size=64, seed=1))  # codes move off their init
+        draws, inputs = [], {}
+        rr, forward = fe.rr_randomize, ad.MlpPass.forward
+
+        def record_rr(idx, m, rng):
+            z = rr(idx, m, rng)
+            draws.append((z.copy(), model.codebook.data.copy()))
+            return z
+
+        def record_forward(self, x):
+            inputs.setdefault(id(self.net), []).append(x.copy())
+            return forward(self, x)
+
+        monkeypatch.setattr(fe, "rr_randomize", record_rr)
+        monkeypatch.setattr(ad.MlpPass, "forward", record_forward)
+        x, u, s = tr.features[:100], tr.u[:100], tr.s[:100]
+        fe.Objective(model, TrainConfig(mc_samples=3))(x, u, s, np.random.default_rng(2))
+        width = mech.d * model.code_dim
+        side, util = inputs[id(model.side_decoder)], inputs[id(model.utility_decoder)]
+        assert len(draws) == len(side) == len(util) == 3
+        for (z, cb), side_in, util_in in zip(draws, side, util):
+            released = cb[z].reshape(100, width)
+            assert np.array_equal(side_in[:, :width], released)
+            first = {}
+            for i, pair in enumerate(zip(map(tuple, z), u)):
+                first.setdefault(pair, i)
+            assert np.array_equal(util_in, released[[first[pair] for pair in sorted(first)]])
 
 
 class TestTrain:

@@ -42,7 +42,10 @@ def main() -> None:
         var1 = history[-1].reconstruction + history[-1].utility
         print(f"\n== {name} ==")
         print(f"variational loss    {var0:.4f} -> {var1:.4f} (total {history[-1].total:.4f})")
-        print(f"utility accuracy    {report.accuracy_mean:.3f} +/- {report.accuracy_std:.3f}")
+        # discrete (16 codes): exact expectations over the mechanism, so the
+        # s.d. over seeds is 0 and the seeds move only the attacker's split;
+        # continuous: the s.d. over one mechanism draw a seed
+        print(f"utility accuracy    {report.accuracy_mean:.3f} +/- {report.accuracy_std:.3f} (s.d. over seeds)")
         print(f"demographic parity  {report.delta_dp_mean:.3f}")
         print(f"equalized odds      {report.delta_eo_mean:.3f}")
         print(f"leakage estimate    {report.leakage_mean:.4f} nats")

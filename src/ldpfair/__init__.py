@@ -91,6 +91,7 @@ from .ldp_mechanisms import (
     laplace_randomize,
     mechanism_from_spec,
     rr_channel,
+    rr_propagate,
     rr_randomize,
     verify_ldp,
 )

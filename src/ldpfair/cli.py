@@ -10,7 +10,9 @@ embeds the hash of the parsed config, so a result file can always be
 traced to the exact configuration that produced it.
 
 Exit codes: 0 success, 2 config error, 3 check failure, 4 runtime/data
-error.
+error.  An `--out` that cannot be made a directory is a config error.  A
+sweep with a failed cell still writes sweep.csv (the other cells' rows)
+and sweep_failures.txt, and exits 4.
 """
 
 from __future__ import annotations
@@ -488,10 +490,11 @@ def cmd_sweep(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
             failures.append(err)
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[8]))  # deterministic merge
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows, chash)
+    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     if failures:
         (out / "sweep_failures.txt").write_text("\n".join(failures) + "\n")
         print(f"{len(failures)} cells failed; see {out / 'sweep_failures.txt'}", file=sys.stderr)
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
+        return 4
     return 0
 
 
@@ -558,11 +561,11 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         parsed = parse_config(args.config.read_text()) if args.config else {}
         cfg = check_config(parsed)
+        args.out.mkdir(parents=True, exist_ok=True)  # fails if --out names a file
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    args.out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](cfg, args.out, args.seed, args.jobs, config_hash(parsed))
     except (ConfigError, PreconditionError) as exc:

@@ -240,9 +240,9 @@ def joint_code(indices: np.ndarray, k: int) -> np.ndarray:
     equal rows and ordered as the rows are lexicographically.
 
     The columns are folded in one at a time, each fold relabeling the
-    codes so far to 0..m-1 by rank, so no intermediate key reaches n * k
-    and none wraps however large k^d is.  For d = 1 the codes are returned
-    as they are.
+    codes so far to 0..m-1 by rank, so no intermediate key reaches
+    max(n, k) * k and none wraps however large k^d is.  For d = 1 the
+    codes are returned as they are.
     """
     z = np.asarray(indices, dtype=np.intp)
     code = z[:, 0]
@@ -284,10 +284,18 @@ def embed_dataset(model: EncoderModel, ds: TabularDataset, seed: int) -> Embeddi
 def _code_label_table(model: EncoderModel, z: np.ndarray, u: np.ndarray):
     """The distinct (joint code, u) pairs of a batch's (n, d) released codes
     and labels, in order: the first row of each pair, each row's pair, and
-    each pair's row count."""
+    each pair's row count.
+
+    One sort: the columns but the last fold as in `joint_code`, and the
+    last column and u join that prefix in the sorted key
+    (prefix * k + last) * card_u + u, which orders the pairs as
+    (joint code, u) does and stays below max(n, k) * k * card_u.
+    """
     if u.min() < 0 or u.max() >= model.card_u:
         raise PreconditionError(f"utility labels must lie in [0, {model.card_u})")
-    key = joint_code(z, model.mechanism.k) * model.card_u + u
+    k = model.mechanism.k
+    prefix = joint_code(z[:, :-1], k) if z.shape[1] > 1 else 0
+    key = (prefix * k + z[:, -1]) * model.card_u + u
     _, first, pair, counts = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
     return first, pair, counts
 

@@ -156,6 +156,26 @@ def rr_channel(mech: RandomizedResponse) -> Channel:
     return new_channel(rows)
 
 
+def rr_propagate(table, mech: RandomizedResponse) -> np.ndarray:
+    """A (k^d, m) table over the codes of [k]^d, rows in lexicographic
+    order, mapped through the rr channel: `rr_channel(mech).rows.T @ table`.
+
+    The channel is the d-th tensor power of one coordinate's k x k form,
+    flip_prob everywhere and keep_prob on the diagonal, so it is applied
+    one coordinate axis at a time and never formed: memory stays that of
+    the table.  The channel is symmetric, so the same map also takes a
+    table over released codes back to one over inputs (`rows @ table`).
+    """
+    t = np.asarray(table, dtype=np.float64)
+    if t.ndim != 2 or t.shape[0] != mech.k**mech.d:
+        raise PreconditionError(f"rr_propagate: expected {mech.k**mech.d} rows, got shape {t.shape}")
+    keep, flip = mech.keep_prob, mech.flip_prob
+    out = t.reshape((mech.k,) * mech.d + t.shape[1:])
+    for axis in range(mech.d):
+        out = flip * out.sum(axis=axis, keepdims=True) + (keep - flip) * out
+    return out.reshape(t.shape)
+
+
 def verify_ldp(ch: Channel, epsilon: float) -> tuple[float, bool]:
     """Worst-case log p(z|x)/p(z|x') over all triples, and the epsilon verdict.
 

@@ -128,6 +128,18 @@ class TestCommands:
         cfg = write_cfg(tmp_path, "dataset=nope\nepsilon=1\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_that_is_not_a_directory_exits_2(self, tmp_path, capsys, sub):
+        # --out naming an existing file, or a path below one, cannot be made
+        # a directory: a config error, not a traceback
+        cfg = write_cfg(tmp_path, "card_x=3\nepsilon=1\nbeta=1\n")
+        (tmp_path / "afile").write_text("x")
+        out = tmp_path / "afile" / sub
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "x"
+
     def test_evaluate_without_checkpoint_exits_4(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SYNTH_CFG)
         rc = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path)])
@@ -593,6 +605,29 @@ class TestCommands:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert len(payload["cells"]) == 2
         assert {"beta", "epsilon", "mode", "accuracy_median"} <= set(payload["cells"][0])
+
+    def test_sweep_with_failed_cells_exits_4(self, tmp_path, capsys):
+        # every cell fails on a missing data file: both files are still
+        # written, sweep.csv with its header and no rows
+        cfg = write_cfg(
+            tmp_path, f"dataset=compas\ncompas_csv={tmp_path / 'missing.csv'}\nmechanism=laplace\n"
+            "epsilon=1,5\nbeta=0.5\nepochs=1\n",
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "all")]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert len((tmp_path / "all" / "sweep.csv").read_text().splitlines()) == 2  # hash + header
+        assert len((tmp_path / "all" / "sweep_failures.txt").read_text().splitlines()) == 2
+
+        # one cell of two fails (rr needs k >= 2): the other's row is written
+        cfg = write_cfg(
+            tmp_path, "dataset=synthetic\ncard_x=4\nn_train=400\nn_test=400\nmechanism=laplace,rr\n"
+            "k=1\nepsilon=5\nbeta=0.5\nepochs=1\nbatch=256\n",
+        )
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 4
+        rows = (tmp_path / "one" / "sweep.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[2] for r in rows] == ["laplace"]
+        failures = (tmp_path / "one" / "sweep_failures.txt").read_text().splitlines()
+        assert len(failures) == 1 and "mode=rr" in failures[0]
 
     @pytest.mark.parametrize("jobs, workers", [(500, 2), (2, 2), (1, None)])
     def test_sweep_starts_at_most_one_worker_per_cell(self, tmp_path, monkeypatch, jobs, workers):

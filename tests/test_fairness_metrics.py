@@ -21,9 +21,16 @@ from ldpfair import (
     RandomizedResponse,
     embed_dataset,
     plugin_mi,
+    rr_channel,
 )
-from ldpfair.fair_encoder import EncoderModel
-from ldpfair.fairness_metrics import DOWNSTREAM_TEST_FRACTION, bayes_attacker_accuracy
+from ldpfair.datasets import ColumnSpec
+from ldpfair.fair_encoder import EncoderModel, pre_mechanism
+from ldpfair.fairness_metrics import (
+    DOWNSTREAM_TEST_FRACTION,
+    _channel_attacker,
+    _channel_figures,
+    bayes_attacker_accuracy,
+)
 
 
 class TestDeltaDp:
@@ -281,20 +288,22 @@ class TestFullReport:
         assert all(leak <= i_sx + 0.01 for leak in rep.per_seed["leakage"])
         assert rep.leakage_mean > 0.0
 
+    # above CHANNEL_CAP (65^2 = 4225 > 4096 joint codes) each seed scores
+    # one mechanism draw
     def test_discrete_uses_plugin_leakage(self):
-        model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=4, d=2))
+        model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=65, d=2))
         rep = full_report(model, te, seeds=[0])
         assert rep.leakage_mean >= 0.0
 
     def test_discrete_attacker_is_the_count_table(self):
-        model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=4, d=2))
+        model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=65, d=2))
         seeds = [0, 7, 11]
         rep = full_report(model, te, seeds=seeds)
         for i, seed in enumerate(seeds):
             emb = embed_dataset(model, te, seed)
-            code = np.ravel_multi_index(tuple(emb.indices.T), (4, 4))
+            code = np.ravel_multi_index(tuple(emb.indices.T), (65, 65))
             assert rep.per_seed["sensitive_accuracy"][i] == bayes_attacker_accuracy(code, te.s, seed)
-            assert rep.per_seed["leakage"][i] == plugin_mi(code, te.s, card_a=16, card_b=2)
+            assert rep.per_seed["leakage"][i] == plugin_mi(code, te.s, card_a=65**2, card_b=2)
 
     def test_continuous_attacker_is_the_mlp(self):
         model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2), epochs=1)
@@ -319,3 +328,101 @@ class TestFullReport:
         model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2), epochs=1)
         with pytest.raises(PreconditionError):
             full_report(model, te, seeds=[])
+
+
+def _codeword_predictions(model):
+    """The utility decoder's label for each of the k^d codewords, in
+    lexicographic code order."""
+    mech = model.mechanism
+    rows = np.indices((mech.k,) * mech.d).reshape(mech.d, -1).T
+    return model.predict_utility(model.codebook.data[rows].reshape(mech.k**mech.d, -1))
+
+
+class TestChannelFigures:
+    """Below CHANNEL_CAP joint codes every discrete figure is an expectation
+    over the rr channel."""
+
+    # models whose four codewords do not all get one label
+    @pytest.mark.parametrize("model_seed", [2, 7, 9])
+    @pytest.mark.parametrize("epsilon", [0.5, 3.0])
+    def test_equal_the_enumeration_of_every_draw(self, model_seed, epsilon):
+        # k = 2, d = 2 and 5 rows: all 4^5 releases, each weighted by its
+        # probability; the groups s = 0 and 1 have 2 and 3 rows
+        mech = RandomizedResponse(epsilon=epsilon, k=2, d=2)
+        model = EncoderModel([ColumnSpec("a", "numeric", 1, ())], mech, seed=model_seed)
+        pred = _codeword_predictions(model)
+        assert 0 < pred.sum() < 4
+        code, u, s = np.array([0, 3, 1, 3, 2]), np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 1])
+        channel = rr_channel(mech).rows
+        acc, rate, cell, joint = 0.0, np.zeros(2), np.zeros((2, 2)), np.zeros((4, 2))
+        for z in itertools.product(range(4), repeat=5):
+            z = np.array(z)
+            w = channel[code, z].prod()
+            hit = pred[z] == 1
+            acc += w * (pred[z] == u).mean()
+            for g in (0, 1):
+                rate[g] += w * hit[s == g].mean()
+                for label in (0, 1):
+                    cell[label, g] += w * hit[(s == g) & (u == label)].mean()
+            np.add.at(joint, (z, s), w / 5)
+        got = _channel_figures(model, code, u, s)
+        assert abs(got["accuracy"] - acc) <= 1e-12
+        assert abs(got["delta_dp"] - abs(rate[0] - rate[1])) <= 1e-12
+        assert abs(got["delta_eo"] - np.abs(cell[:, 0] - cell[:, 1]).max()) <= 1e-12
+        assert abs(got["leakage"] - mutual_information(joint)) <= 1e-12
+
+    @pytest.mark.parametrize("k, d", [(2, 2), (3, 2), (4, 1)])
+    def test_attacker_equals_the_channel_matrix_formula(self, k, d):
+        # the count-table rule fit to the training rows' expected released
+        # codes, scored by its expected accuracy on the held-out rows
+        mech = RandomizedResponse(epsilon=2.0, k=k, d=d)
+        rng = np.random.default_rng(k + d)
+        code = rng.integers(0, k**d, 60)
+        s = (rng.random(60) < 0.2 + 0.6 * (code % 2)).astype(int)
+        channel = rr_channel(mech).rows
+        for seed in range(5):
+            tr, te = _split(60, seed)
+            guess = (channel[code[tr]].T @ np.eye(2)[s[tr]]).argmax(axis=1)
+            expected = np.mean([channel[c] @ (guess == sv) for c, sv in zip(code[te], s[te])])
+            assert abs(_channel_attacker(code, s, mech, seed) - expected) <= 1e-12
+
+    def test_report_repeats_the_expected_figures_per_seed(self):
+        # the figures of the explicit (n, k^d) release matrix W, the same for
+        # every seed; only the attacker's split moves with the seed
+        model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=4, d=2))
+        seeds = [0, 7, 11]
+        rep = full_report(model, te, seeds)
+        code = np.ravel_multi_index(tuple(pre_mechanism(model, te.features).T), (4, 4))
+        w = rr_channel(model.mechanism).rows[code]
+        pred = _codeword_predictions(model)
+        hit = w @ (pred == 1)
+
+        def gap(mask):
+            return abs(hit[mask & (te.s == 0)].mean() - hit[mask & (te.s == 1)].mean())
+
+        expected = {
+            "accuracy": (w * (pred == te.u[:, None])).sum(axis=1).mean(),
+            "delta_dp": gap(te.s >= 0),
+            "delta_eo": max(gap(te.u == label) for label in (0, 1)),
+            "leakage": mutual_information(np.stack([w[te.s == g].sum(axis=0) for g in (0, 1)], 1) / te.n),
+        }
+        for key, value in expected.items():
+            assert len(set(rep.per_seed[key])) == 1 and len(rep.per_seed[key]) == 3
+            assert abs(rep.per_seed[key][0] - value) <= 1e-12
+            assert getattr(rep, f"{key}_mean") == rep.per_seed[key][0]
+            assert getattr(rep, f"{key}_std") == 0.0
+        assert rep.per_seed["sensitive_accuracy"] == [
+            _channel_attacker(code, te.s, model.mechanism, seed) for seed in seeds
+        ]
+
+    def test_leakage_is_below_the_plug_in_mean(self):
+        # the propagated leakage is the MI of the draws' expected joint; MI
+        # is convex in p(z|s) at fixed p(s), so it is at most the plug-in's
+        # expectation, which 20 draws' mean estimates well above it
+        model, te = _trained_model(RandomizedResponse(epsilon=5.0, k=4, d=2))
+        leak = full_report(model, te, [0]).leakage_mean
+        sampled = [
+            plugin_mi(np.ravel_multi_index(tuple(embed_dataset(model, te, seed).indices.T), (4, 4)), te.s)
+            for seed in range(20)
+        ]
+        assert 0.0 < leak < np.mean(sampled)

@@ -19,6 +19,7 @@ from ldpfair import (
     random_channel,
     random_source,
     rr_channel,
+    rr_propagate,
     rr_randomize,
     verify_ldp,
 )
@@ -135,6 +136,31 @@ class TestRandomizedResponse:
     def test_channel_cap(self):
         with pytest.raises(PreconditionError):
             rr_channel(RandomizedResponse(epsilon=1.0, k=4, d=8))
+
+
+class TestRrPropagate:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.7, 6.0])
+    def test_equals_the_channel_matrix_both_ways(self, k, d, epsilon):
+        # the image under the channel, and (the channel is symmetric) the
+        # map back, without forming the k^d x k^d matrix
+        mech = RandomizedResponse(epsilon=epsilon, k=k, d=d)
+        rows = rr_channel(mech).rows
+        table = np.random.default_rng(10 * k + d).random((k**d, 3))
+        np.testing.assert_allclose(rr_propagate(table, mech), rows.T @ table, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(rr_propagate(table, mech), rows @ table, rtol=0, atol=1e-15)
+
+    def test_keeps_each_column_mass(self):
+        mech = RandomizedResponse(epsilon=1.5, k=5, d=2)
+        counts = np.random.default_rng(0).integers(0, 40, (25, 4)).astype(float)
+        np.testing.assert_allclose(rr_propagate(counts, mech).sum(axis=0), counts.sum(axis=0), rtol=1e-14)
+
+    def test_rejects_a_table_of_the_wrong_size(self):
+        with pytest.raises(PreconditionError, match="expected 16 rows"):
+            rr_propagate(np.ones((15, 2)), RandomizedResponse(epsilon=1.0, k=4, d=2))
+        with pytest.raises(PreconditionError, match="expected 16 rows"):
+            rr_propagate(np.ones(16), RandomizedResponse(epsilon=1.0, k=4, d=2))
 
 
 class TestVerifyLdp:

@@ -255,18 +255,27 @@ def _load_dataset_pair(cfg: dict, out: Path):
     if name == "compas":
         return datasets.load_compas(_required(cfg, "compas_csv"))
     if name == "synthetic":
-        card_x = cfg.get("card_x", 4)
-        feat_dim = cfg.get("feat_dim", card_x)
-        src = random_source(2, 2, card_x, seed=cfg.get("source_seed", 0))
-        means = 2.0 * np.eye(card_x, feat_dim)
-        spec = datasets.SyntheticSpec(
-            source=src, means=means, sigma=cfg.get("sigma", 0.5),
-            n_train=cfg.get("n_train", 4000),
-            n_test=cfg.get("n_test", 2000),
-            seed=cfg.get("data_seed", 0),
-        )
-        return datasets.generate_synthetic(spec)
+        return datasets.generate_synthetic(_synthetic_spec(cfg))
     raise ConfigError(f"unknown dataset {name!r}; use adult, compas, or synthetic")
+
+
+def _load_test_split(cfg: dict, out: Path):
+    """The test split of `_load_dataset_pair`; synthetic data builds it alone."""
+    if cfg.get("dataset") == "synthetic":
+        return datasets.synthetic_split(_synthetic_spec(cfg), "test")
+    return _load_dataset_pair(cfg, out)[1]
+
+
+def _synthetic_spec(cfg: dict) -> datasets.SyntheticSpec:
+    card_x = cfg.get("card_x", 4)
+    feat_dim = cfg.get("feat_dim", card_x)
+    src = random_source(2, 2, card_x, seed=cfg.get("source_seed", 0))
+    return datasets.SyntheticSpec(
+        source=src, means=2.0 * np.eye(card_x, feat_dim), sigma=cfg.get("sigma", 0.5),
+        n_train=cfg.get("n_train", 4000),
+        n_test=cfg.get("n_test", 2000),
+        seed=cfg.get("data_seed", 0),
+    )
 
 
 def _given(**values) -> dict:
@@ -439,7 +448,13 @@ def cmd_evaluate(cfg: dict, out: Path, seed: int, jobs: int, chash: str) -> int:
     if not ckpt.exists():
         raise DatasetError(f"no checkpoint at {ckpt}; run the train command first")
     model = fair_encoder.load_model(ckpt)
-    _, test_ds = _load_dataset_pair(cfg, out)
+    test_ds = _load_test_split(cfg, out)
+    if model.schema != test_ds.schema:
+        trained, given = (", ".join(f"{c.name}[{c.size}]" for c in sc) for sc in (model.schema, test_ds.schema))
+        raise DatasetError(
+            f"checkpoint {ckpt} was trained on columns {trained}, but the dataset has {given}"
+            + (" with other categories" if trained == given else "")
+        )
     seeds = cfg.get("seeds", [seed])
     report = fairness_metrics.full_report(model, test_ds, seeds)
     _write_json(out / "report.json", {**report.__dict__, "config_hash": chash})

@@ -349,17 +349,20 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[TabularDataset, TabularData
     The latent x labels ride along so oracle checks can condition on them;
     spec.source is the exact ground truth for every information quantity.
     """
+    return synthetic_split(spec, "train"), synthetic_split(spec, "test")
+
+
+def synthetic_split(spec: SyntheticSpec, split: str) -> TabularDataset:
+    """The "train" or "test" split of `generate_synthetic(spec)`, built
+    alone: each split draws from seeds of its own, so neither needs the
+    other."""
+    n, sub = {"train": (spec.n_train, 0), "test": (spec.n_test, 1)}[split]
     feat_dim = spec.means.shape[1]
     schema = [ColumnSpec(f"f{i}", "numeric", 1) for i in range(feat_dim)]
-    out = []
-    for split, n, sub in (("train", spec.n_train, 0), ("test", spec.n_test, 1)):
-        triples = sample_source(spec.source, n, seed=spec.seed * 2 + sub)
-        rng = np.random.default_rng([spec.seed, sub, 1])
-        feats = spec.means[triples[:, 2]] + rng.normal(0.0, spec.sigma, size=(n, feat_dim))
-        out.append(
-            TabularDataset(feats, triples[:, 0], triples[:, 1], split, schema, x=triples[:, 2])
-        )
-    return out[0], out[1]
+    triples = sample_source(spec.source, n, seed=spec.seed * 2 + sub)
+    rng = np.random.default_rng([spec.seed, sub, 1])
+    feats = spec.means[triples[:, 2]] + rng.normal(0.0, spec.sigma, size=(n, feat_dim))
+    return TabularDataset(feats, triples[:, 0], triples[:, 1], split, schema, x=triples[:, 2])
 
 
 # -- binary round-trip -------------------------------------------------------

@@ -4,9 +4,10 @@ All quantities are in nats; the privacy-budget bound I(X;Z) <= epsilon
 only holds with natural logarithms.  The 0 log 0 = 0 convention is used
 throughout.  Exact measures are pure functions over validated probability
 arrays; plugin_mi works on paired discrete samples; laplace_mixture_mi
-uses the known noise density of Laplace-noised representations; and
-mine_estimate is the Donsker-Varadhan neural estimator for continuous
-samples whose noise is unknown.
+uses the known noise density of Laplace-noised representations, through
+a per-class Laplace-kernel sum that the continuous attacker of
+`fairness_metrics` also calls; and mine_estimate is the Donsker-Varadhan
+neural estimator for continuous samples whose noise is unknown.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def plugin_mi(samples_a, samples_b, card_a=None, card_b=None, smoothing: float =
 # to its running total: max(1, _PAIR_BUDGET // n).  The grouping is part of
 # the estimate's bits, so it stays that of the former 2^18-pair blocks.
 _PAIR_BUDGET = 2**18
-# pair entries in each of laplace_mixture_mi's two scratch arrays: 512 KiB
+# pair entries in each of _laplace_class_log_sums' two scratch arrays: 512 KiB
 # of float64, so both fit a 2 MiB per-core L2 cache together
 _BLOCK_PAIRS = 2**16
 
@@ -140,14 +141,12 @@ def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
 
     This is the sample-propagation estimator of Goldfeld et al.,
     "Estimating Information Flow in Deep Neural Networks" (ICML 2019).  It
-    needs no training and is deterministic.  It costs O(n^2 d) time, in
-    row blocks of about _BLOCK_PAIRS pairs computed on two scratch arrays
-    made once per call: 512 KiB each, so the log-kernel and its
-    exponential stay in a 2 MiB L2 cache instead of going through memory.
-    Its memory is those two arrays plus O(n d), about 1.5 MiB at n = 8000
-    (n above _BLOCK_PAIRS makes one-row blocks of n pairs).  Block size
+    needs no training and is deterministic.  It costs O(n^2 d) time in
+    `_laplace_class_log_sums`, and its memory is that kernel's two
+    scratch arrays plus O(n d), about 1.5 MiB at n = 8000.  Block size
     does not change the result: each row's term is computed on its own,
-    and the terms are summed in groups of _PAIR_BUDGET // n rows.
+    and the terms are summed in class order, in groups of
+    _PAIR_BUDGET // n rows.
     Each mixture is an unbiased density estimate, but its log is biased
     low, the conditional's more (it averages fewer components); the net
     bias is small and downward, largest when the noise is narrow next to
@@ -176,43 +175,64 @@ def laplace_mixture_mi(clean, s, noisy, scale: float) -> float:
             f"got counts {dict(zip(classes.tolist(), counts.tolist()))}"
         )
 
-    # rows sorted by class, so each class is one contiguous column slice
-    order = np.argsort(labels, kind="stable")
-    c, z, labels = c[order], z[order], labels[order]
-    bounds = np.concatenate([[0], np.cumsum(counts)])
     n = c.shape[0]
+    per_class = _laplace_class_log_sums(z, c, labels, scale, leave_one_out=True)
     own = np.searchsorted(classes, labels)
-    step = max(1, _BLOCK_PAIRS // n)
-    logk_buf, work_buf = np.empty(step * n), np.empty(step * n)
-    terms = np.empty(n)  # log p(z_j | s_j) - log p(z_j), row by row
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        # log-kernel up to the constant -d log(2b), which cancels in the ratio
-        logk = logk_buf[: (hi - lo) * n].reshape(hi - lo, n)
-        work = work_buf[: (hi - lo) * n].reshape(hi - lo, n)
-        np.abs(np.subtract(z[lo:hi, 0:1], c[:, 0], out=logk), out=logk)
-        for k in range(1, c.shape[1]):
-            logk += np.abs(np.subtract(z[lo:hi, k : k + 1], c[:, k], out=work), out=work)
-        logk *= -1.0 / scale
-        rows = np.arange(hi - lo)
-        logk[rows, lo + rows] = -np.inf  # leave one out
-        # per-class log-sum-exp, each shifted by its own row maximum
-        per_class = np.empty((hi - lo, classes.size))
-        for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            block = logk[:, a:b]
-            shift = block.max(axis=1, keepdims=True)
-            e = work_buf[: (hi - lo) * (b - a)].reshape(hi - lo, b - a)
-            np.exp(np.subtract(block, shift, out=e), out=e)
-            per_class[:, m] = np.log(e.sum(axis=1)) + shift[:, 0]
-        log_cond = per_class[rows, own[lo:hi]] - np.log(counts[own[lo:hi]] - 1)
-        shift = per_class.max(axis=1, keepdims=True)
-        log_marg = np.log(np.exp(per_class - shift).sum(axis=1)) + shift[:, 0] - np.log(n - 1)
-        np.subtract(log_cond, log_marg, out=terms[lo:hi])
+    log_cond = per_class[np.arange(n), own] - np.log(counts[own] - 1)
+    shift = per_class.max(axis=1, keepdims=True)
+    log_marg = np.log(np.exp(per_class - shift).sum(axis=1)) + shift[:, 0] - np.log(n - 1)
+    # log p(z_j | s_j) - log p(z_j), row by row, summed in class order
+    terms = (log_cond - log_marg)[np.argsort(labels, kind="stable")]
     group = max(1, _PAIR_BUDGET // n)
     total = 0.0
     for lo in range(0, n, group):
         total += float(terms[lo : lo + group].sum())
     return total / n
+
+
+def _laplace_class_log_sums(queries, centers, labels, scale: float, leave_one_out: bool = False):
+    """(q, m) array of log sum_{i: labels_i = l_m} exp(-||queries_j - centers_i||_1 / scale),
+    one column per distinct label l_1 < ... < l_m.
+
+    The Laplace kernel without its constant -d log(2 scale), summed per
+    class.  With `leave_one_out` the queries are row-aligned with the
+    centers and each query's own center is left out.  It costs O(q n d)
+    time for n centers, in row blocks of about _BLOCK_PAIRS pairs computed
+    on two scratch arrays made once per call, 512 KiB each, so the
+    log-kernel and its exponential stay in a 2 MiB L2 cache instead of
+    going through memory (n above _BLOCK_PAIRS makes one-row blocks of n
+    pairs).  Each row is computed on its own, so the block size does not
+    change the result.  Every label needs a center, and with
+    `leave_one_out` two.
+    """
+    # centers sorted by label, so each class is one contiguous column slice
+    order = np.argsort(labels, kind="stable")
+    c = centers[order]
+    bounds = np.concatenate([[0], np.cumsum(np.unique(labels, return_counts=True)[1])])
+    n = c.shape[0]
+    own_column = np.empty(n, dtype=np.intp)
+    own_column[order] = np.arange(n)
+    step = max(1, _BLOCK_PAIRS // n)
+    logk_buf, work_buf = np.empty(step * n), np.empty(step * n)
+    per_class = np.empty((queries.shape[0], bounds.size - 1))
+    for lo in range(0, queries.shape[0], step):
+        hi = min(queries.shape[0], lo + step)
+        logk = logk_buf[: (hi - lo) * n].reshape(hi - lo, n)
+        work = work_buf[: (hi - lo) * n].reshape(hi - lo, n)
+        np.abs(np.subtract(queries[lo:hi, 0:1], c[:, 0], out=logk), out=logk)
+        for k in range(1, c.shape[1]):
+            logk += np.abs(np.subtract(queries[lo:hi, k : k + 1], c[:, k], out=work), out=work)
+        logk *= -1.0 / scale
+        if leave_one_out:
+            logk[np.arange(hi - lo), own_column[lo:hi]] = -np.inf
+        # per-class log-sum-exp, each shifted by its own row maximum
+        for m, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            block = logk[:, a:b]
+            shift = block.max(axis=1, keepdims=True)
+            e = work_buf[: (hi - lo) * (b - a)].reshape(hi - lo, b - a)
+            np.exp(np.subtract(block, shift, out=e), out=e)
+            per_class[lo:hi, m] = np.log(e.sum(axis=1)) + shift[:, 0]
+    return per_class
 
 
 # -- MINE --------------------------------------------------------------------

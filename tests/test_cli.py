@@ -550,6 +550,20 @@ class TestCommands:
         assert str(path) in err and "'p0'" in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("mechanism", ["mechanism=laplace", "mechanism=rr\nk=4\nd=2"])
+    def test_checkpoint_of_another_schema_exits_4(self, tmp_path, capsys, mechanism):
+        # a model trained at card_x=4 sees 4 feature columns; the card_x=5
+        # dataset has 5, which the encoder's first layer cannot take
+        text = SYNTH_CFG.replace("mechanism=laplace", mechanism)
+        assert main(["train", "--config", str(write_cfg(tmp_path, text)), "--out", str(tmp_path)]) == 0
+        wider = write_cfg(tmp_path, text.replace("card_x=4", "card_x=5"), name="wider.cfg")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(wider), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "f0[1], f1[1], f2[1], f3[1]," in err and "f4[1]" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.filterwarnings("ignore:compas")  # the fixture's row count and P(U=1) differ
     def test_compas_non_integer_label_exits_4(self, tmp_path, capsys):
         lines = (Path(__file__).parent / "data" / "compas.csv").read_text().splitlines()

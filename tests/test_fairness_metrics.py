@@ -29,6 +29,7 @@ from ldpfair.fairness_metrics import (
     DOWNSTREAM_TEST_FRACTION,
     _channel_attacker,
     _channel_figures,
+    _laplace_attacker,
     bayes_attacker_accuracy,
 )
 
@@ -241,6 +242,53 @@ class TestBayesAttacker:
         assert peak < 64 * 1024
 
 
+class TestLaplaceAttacker:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("scale", [0.05, 0.3, 2.0])
+    def test_equals_the_explicit_kernel_matrix(self, d, classes, scale):
+        # the held-out x training Laplace kernel matrix written out, summed
+        # per class of the training rows, and its argmax (the lowest s on
+        # ties) scored on the held-out rows
+        rng = np.random.default_rng(100 * d + 10 * classes + int(20 * scale))
+        for seed in range(4):
+            n = int(rng.integers(12, 80))
+            s = rng.integers(0, classes, n)
+            clean = rng.uniform(-0.5, 0.5, size=(n, d)) + 0.3 * s[:, None]
+            noisy = clean + rng.laplace(0.0, scale, size=(n, d))
+            tr, te = _split(n, seed)
+            kernel = np.exp(-np.abs(noisy[te][:, None, :] - clean[tr][None]).sum(axis=2) / scale)
+            labels = np.unique(s[tr])
+            sums = np.stack([kernel[:, s[tr] == label].sum(axis=1) for label in labels], axis=1)
+            expected = float((labels[sums.argmax(axis=1)] == s[te]).mean())
+            assert _laplace_attacker(clean, s, noisy, scale, seed) == expected
+
+    def test_wide_noise_predicts_the_training_majority(self):
+        # the vectors lie within L1 distance 4 of each other, so with scale
+        # 10^4 a held-out row's kernel terms agree within a factor e^(4e-4),
+        # and each class's sum is its training count times about one factor
+        rng = np.random.default_rng(8)
+        s = (rng.random(300) < 0.6).astype(int)
+        clean = rng.uniform(-0.5, 0.5, size=(300, 2)) + s[:, None]
+        noisy = clean + rng.laplace(0.0, 1e4, size=clean.shape)
+        for seed in range(3):
+            tr, te = _split(300, seed)
+            majority = np.bincount(s[tr]).argmax()
+            assert np.bincount(s[tr]).max() > np.bincount(s[tr]).min() + 5
+            assert _laplace_attacker(clean, s, noisy, 1e4, seed) == float((s[te] == majority).mean())
+
+    def test_full_report_trains_no_downstream_mlp(self, monkeypatch):
+        from ldpfair import fairness_metrics
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("the continuous report trained an MLP")
+
+        monkeypatch.setattr(fairness_metrics, "train_downstream", no_training)
+        model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2), epochs=1)
+        rep = full_report(model, te, seeds=[0, 1])
+        assert all(0.0 <= acc <= 1.0 for acc in rep.per_seed["sensitive_accuracy"])
+
+
 def _trained_model(mech, epochs=6):
     src = random_source(2, 2, 4, seed=3)
     spec = SyntheticSpec(
@@ -305,11 +353,17 @@ class TestFullReport:
             assert rep.per_seed["sensitive_accuracy"][i] == bayes_attacker_accuracy(code, te.s, seed)
             assert rep.per_seed["leakage"][i] == plugin_mi(code, te.s, card_a=65**2, card_b=2)
 
-    def test_continuous_attacker_is_the_mlp(self):
+    def test_continuous_attacker_is_the_known_noise_bayes_rule(self):
+        # each seed's figure is the rule on that seed's split and draw, with
+        # the test rows' pre-noise vectors as the kernel centers
         model, te = _trained_model(LaplaceMechanism(epsilon=5.0, t=0.5, d=2), epochs=1)
-        rep = full_report(model, te, seeds=[2])
-        emb = embed_dataset(model, te, 2)
-        assert rep.per_seed["sensitive_accuracy"] == [sensitive_accuracy(emb.z, te.s, 2)]
+        seeds = [2, 5]
+        rep = full_report(model, te, seeds=seeds)
+        clean = pre_mechanism(model, te.features)
+        assert rep.per_seed["sensitive_accuracy"] == [
+            _laplace_attacker(clean, te.s, embed_dataset(model, te, seed).z, model.mechanism.scale, seed)
+            for seed in seeds
+        ]
 
     @pytest.mark.parametrize(
         "mech", [RandomizedResponse(epsilon=5.0, k=4, d=2), LaplaceMechanism(epsilon=5.0, t=0.5, d=2)]

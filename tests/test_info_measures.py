@@ -362,6 +362,24 @@ class TestLaplaceMixture:
         got = laplace_mixture_mi(clean, s, noisy, scale)
         assert got.hex() == _previous_laplace_mixture_mi(clean, s, noisy, scale).hex()
 
+    @pytest.mark.parametrize("leave_one_out", [False, True])
+    @pytest.mark.parametrize("block_pairs", [None, 7 * 40 + 1, 1])
+    def test_class_log_sums_equal_the_explicit_kernel_matrix(self, monkeypatch, leave_one_out, block_pairs):
+        from ldpfair import info_measures as im
+
+        if block_pairs is not None:
+            monkeypatch.setattr(im, "_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(11)
+        centers = rng.uniform(-0.5, 0.5, size=(40, 3))
+        labels = rng.choice([2, 5, 9], size=40)  # labels need not be 0..m-1
+        queries = centers + rng.laplace(0.0, 0.4, size=centers.shape) if leave_one_out else rng.normal(size=(25, 3))
+        kernel = np.exp(-np.abs(queries[:, None, :] - centers[None]).sum(axis=2) / 0.4)
+        if leave_one_out:
+            np.fill_diagonal(kernel, 0.0)
+        expected = np.log(np.stack([kernel[:, labels == v].sum(axis=1) for v in (2, 5, 9)], axis=1))
+        got = im._laplace_class_log_sums(queries, centers, labels, 0.4, leave_one_out)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("n", [4000, 8000])
     def test_memory_stays_under_two_mib(self, n):
         import tracemalloc
